@@ -15,8 +15,14 @@ top of our stateless, replay-based engine:
   meaningless across the process boundary a sharded worker sits behind.
 - **Backtrack sets** (DPOR): when executing an operation, find the most
   recent earlier operation it is dependent on and not already causally
-  ordered after (via vector clocks); schedule the current thread for
-  exploration at that earlier point.
+  ordered after (via vector clocks — the packed
+  :class:`~repro.racedetect.vectorclock.VectorClock` the race detector
+  uses); schedule the current thread for exploration at that earlier
+  point.
+- **Incremental analysis**: consecutive executions share the path prefix
+  below the point the backtrack step changed, and replay it
+  deterministically, so those steps keep their clocks and the backtrack
+  entries they registered; each execution analyses only its new suffix.
 - **Sleep sets**: a sibling choice already explored at a point is put to
   sleep; a sleeping thread is skipped until an executed operation is
   dependent with the sleeper's pending operation.
@@ -46,12 +52,13 @@ over the full op vocabulary.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..engine.executor import DEFAULT_MAX_STEPS, execute
 from ..engine.hardening import state_fingerprint
 from ..engine.state import Kernel, VisibleFilter
 from ..engine.strategies import SchedulerStrategy, round_robin_choice
+from ..racedetect.vectorclock import VectorClock
 from ..runtime.objects import SharedArray
 from ..runtime.ops import Op, OpKind
 from ..runtime.program import Program
@@ -118,21 +125,42 @@ def _extra_key(op: Op) -> Optional[DepKey]:
     return None
 
 
+_NO_KEYS: FrozenSet[DepKey] = frozenset()
+
+
+def _op_keys(op: Op) -> Tuple[FrozenSet[DepKey], FrozenSet[DepKey]]:
+    """``(reads, writes)``: the dependency keys of one visible op.
+
+    Reads commute with reads; a write or a lock-like op conflicts with
+    everything on its keys (COND_WAIT's include its mutex).  Thread-local
+    ops have no keys."""
+    kind = op.kind
+    if kind in _LOCAL:
+        return _NO_KEYS, _NO_KEYS
+    key = _target_key(op)
+    if kind in _READS:
+        return frozenset((key,)), _NO_KEYS
+    extra = _extra_key(op)
+    return _NO_KEYS, frozenset((key,) if extra is None else (key, extra))
+
+
+def _conflict(
+    a_reads: AbstractSet[DepKey],
+    a_writes: AbstractSet[DepKey],
+    b_reads: AbstractSet[DepKey],
+    b_writes: AbstractSet[DepKey],
+) -> bool:
+    """Does a write on either side touch a key the other side uses?"""
+    return not (
+        a_writes.isdisjoint(b_reads)
+        and a_writes.isdisjoint(b_writes)
+        and b_writes.isdisjoint(a_reads)
+    )
+
+
 def dependent(a: Op, b: Op) -> bool:
     """Whether two operations may not commute."""
-    ka, kb = a.kind, b.kind
-    if ka in _LOCAL or kb in _LOCAL:
-        return False
-    keys_a = {_target_key(a), _extra_key(a)} - {None}
-    keys_b = {_target_key(b), _extra_key(b)} - {None}
-    if not (keys_a & keys_b):
-        return False
-    # Same object: reads commute with reads; everything else conflicts.
-    a_reads = ka in _READS
-    b_reads = kb in _READS
-    if a_reads and b_reads:
-        return False
-    return True
+    return _conflict(*_op_keys(a), *_op_keys(b))
 
 
 def _mutex_roles(op: Op) -> Dict[DepKey, str]:
@@ -201,25 +229,6 @@ def never_co_enabled(a: Op, b: Op) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vector clocks (local lightweight variant keyed by tid)
-# ---------------------------------------------------------------------------
-
-Clock = Dict[int, int]
-
-
-def _join(a: Clock, b: Clock) -> Clock:
-    out = dict(a)
-    for k, v in b.items():
-        if v > out.get(k, 0):
-            out[k] = v
-    return out
-
-
-def _leq(a: Clock, b: Clock) -> bool:
-    return all(v <= b.get(k, 0) for k, v in a.items())
-
-
-# ---------------------------------------------------------------------------
 # The explorer
 # ---------------------------------------------------------------------------
 
@@ -241,8 +250,11 @@ class _Point:
         "done",
         "sleep",
         "op",
+        "op_reads",
+        "op_writes",
         "reads",
         "writes",
+        "keys",
         "suffix_clean",
         "clock",
         "tid",
@@ -262,14 +274,7 @@ class _Point:
         #: Threads asleep at this point (sleep-set reduction).
         self.sleep: Set[int] = set(sleep)
         self.chosen: Optional[int] = None
-        self.op: Optional[Op] = None          # visible op executed here
-        self.reads: Set[DepKey] = set()
-        self.writes: Set[DepKey] = set()
-        #: True when the step carried no invisible data accesses, i.e. the
-        #: visible op alone determines its dependencies.
-        self.suffix_clean = True
-        self.clock: Clock = {}                # vector clock of that step
-        self.tid: Optional[int] = None
+        self.reset_run_state()
         #: Preemption cost of scheduling each enabled thread here (0/1) and
         #: the cumulative path cost before this point — fixed once the
         #: point is created (they depend only on the prefix), used by the
@@ -291,12 +296,25 @@ class _Point:
         self.agg_writes: Set[DepKey] = set()
 
     def reset_run_state(self) -> None:
-        self.op = None
-        self.reads = set()
-        self.writes = set()
+        """Forget the step executed here (``tid is None`` marks it)."""
+        self.tid: Optional[int] = None
+        self.op: Optional[Op] = None          # visible op executed here
+        #: The visible op's own dependency keys (:func:`_op_keys`).
+        self.op_reads = _NO_KEYS
+        self.op_writes = _NO_KEYS
+        #: The step's data footprint: the visible op's data key plus every
+        #: invisible access that executed with it.
+        self.reads: Set[DepKey] = set()
+        self.writes: Set[DepKey] = set()
+        #: Every key the step touches, set by its analysis: a step whose
+        #: keys miss another's cannot conflict with it.
+        self.keys: AbstractSet[DepKey] = _NO_KEYS
+        #: True when the step carried no invisible data accesses, i.e. the
+        #: visible op alone determines its dependencies.
         self.suffix_clean = True
-        self.clock = {}
-        self.tid = None
+        #: Vector clock of the step, set by its analysis (a step with no
+        #: op never gets one).
+        self.clock: Optional[VectorClock] = None
 
     def candidates(self, bound: Optional[int] = None) -> Set[int]:
         """Unexplored backtrack candidates.
@@ -359,15 +377,9 @@ class _Point:
 
 def _steps_dependent(a: "_Point", b: "_Point") -> bool:
     """Do two completed steps conflict (visible ops or data footprints)?"""
-    if a.op is None or b.op is None:
-        return False
-    if dependent(a.op, b.op):
-        return True
-    if a.writes & (b.reads | b.writes):
-        return True
-    if b.writes & a.reads:
-        return True
-    return False
+    return _conflict(
+        a.op_reads, a.op_writes, b.op_reads, b.op_writes
+    ) or _conflict(a.reads, a.writes, b.reads, b.writes)
 
 
 def _reversible_race(prev: "_Point", point: "_Point") -> bool:
@@ -382,9 +394,9 @@ def _reversible_race(prev: "_Point", point: "_Point") -> bool:
     Registering here instead used to *stop* the walk and lose whole
     trace classes (an acquire/acquire race hidden behind the release).
     """
-    if prev.writes & (point.reads | point.writes) or point.writes & prev.reads:
+    if _conflict(prev.reads, prev.writes, point.reads, point.writes):
         return True
-    if not dependent(prev.op, point.op):
+    if not _conflict(prev.op_reads, prev.op_writes, point.op_reads, point.op_writes):
         return False
     return not never_co_enabled(prev.op, point.op)
 
@@ -454,9 +466,11 @@ class _DPORStrategy(SchedulerStrategy):
             point = stack[step_index]
             tid = point.chosen
             assert tid is not None and tid in enabled
-            point.reads = set()
-            point.writes = set()
-            point.suffix_clean = True
+            if point.tid is not None:
+                # Replaying a step an earlier execution recorded and
+                # analysed: replay is deterministic, so keep all of it.
+                self._current = None
+                return tid
         else:
             # New frontier point: inherit the sleep set from the parent.  A
             # sleeper stays asleep only when the parent step provably
@@ -530,8 +544,9 @@ class _DPORStrategy(SchedulerStrategy):
         point.op = op
         point.tid = tid
         if op is not None:
-            key = _target_key(op)
-            if key is not None and op.kind in _DATA:
+            point.op_reads, point.op_writes = _op_keys(op)
+            if op.kind in _DATA:
+                key = _target_key(op)
                 (point.writes if op.kind in _WRITES else point.reads).add(key)
         self._current = point
         return tid
@@ -596,7 +611,8 @@ class DPORExplorer(Explorer):
         self._use_state_cache = state_cache and preemption_bound is None
         self._state_cache: Optional[Dict[Any, Tuple[Set[DepKey], Set[DepKey]]]] = None
         self._stack: List[_Point] = []
-        self._thread_clock: Dict[int, Clock] = {}
+        #: Each thread's clock after its latest analysed step.
+        self._thread_clock: Dict[int, VectorClock] = {}
         self._abandoned = 0
         self._run_log: Optional[List[Any]] = None
         #: The reconstructed points when seeded (kept after they pop, so a
@@ -607,7 +623,8 @@ class DPORExplorer(Explorer):
     def _analyse(self, j: int) -> None:
         """Clock + backtrack analysis for the completed step ``j``.
 
-        Runs every execution (backtrack-set union is idempotent).  Walks
+        Runs once per recorded step: a step replayed unchanged keeps its
+        result (see :meth:`_begin_run`).  Walks
         every dependent, non-happens-before predecessor from the most
         recent backwards; at the first *reversible* race point
         (:func:`_reversible_race`) where the stepping thread was enabled,
@@ -623,24 +640,31 @@ class DPORExplorer(Explorer):
         of two critical sections) reachable."""
         stack = self._stack
         point = stack[j]
-        if point.clock:
-            return  # already analysed this run
+        if point.clock is not None:
+            return  # already analysed
         q = point.tid
         if q is None or point.op is None:
             return
-        base = self._thread_clock.get(q, {})
-        clock = dict(base)
+        base = self._thread_clock.get(q)
+        if base is None:
+            base = VectorClock()
+        clock = base.copy()
+        keys = point.op_reads | point.op_writes | point.reads | point.writes
+        point.keys = keys
         registered = False
         for i in range(j - 1, -1, -1):
             prev = stack[i]
-            if prev.op is None or prev.tid == q:
+            # (A step without an op was never analysed: it has no keys.)
+            if (
+                prev.tid == q
+                or keys.isdisjoint(prev.keys)
+                or not _steps_dependent(prev, point)
+            ):
                 continue
-            if not _steps_dependent(prev, point):
-                continue
-            clock = _join(clock, prev.clock)
+            clock.join(prev.clock)
             if (
                 not registered
-                and not _leq(prev.clock, base)
+                and not prev.clock.leq(base)
                 and _reversible_race(prev, point)
             ):
                 if q in prev.enabled:
@@ -660,7 +684,7 @@ class DPORExplorer(Explorer):
                                 other.tid in prev.enabled
                                 and other.tid != q
                                 and other.tid not in prev.sleep
-                                and _leq(other.clock, clock)
+                                and (other.clock is None or other.clock.leq(clock))
                             ):
                                 prev.backtrack.add(other.tid)
                     registered = True
@@ -680,7 +704,7 @@ class DPORExplorer(Explorer):
                         ):
                             earlier.backtrack.add(q)
                             break
-        clock[q] = clock.get(q, 0) + 1
+        clock.tick(q)
         point.clock = clock
         self._thread_clock[q] = clock
 
@@ -693,25 +717,17 @@ class DPORExplorer(Explorer):
         creads, cwrites = cached
         if not creads and not cwrites:
             return False
+        # A visible op's own keys count here even when it is not a data
+        # access: writes and lock-like ops conflict with everything on
+        # the same key.
         call = creads | cwrites
         for prev in self._stack:
-            op = prev.op
-            if op is None:
-                continue
-            preads = prev.reads
-            pwrites = prev.writes
-            key = _target_key(op)
-            if key is not None:
-                if op.kind in _READS:
-                    preads = preads | {key}
-                else:
-                    # Writes and lock-like ops conflict with everything on
-                    # the same key.
-                    pwrites = pwrites | {key}
-                extra = _extra_key(op)
-                if extra is not None:
-                    pwrites = pwrites | {extra}
-            if pwrites & call or preads & cwrites:
+            if prev.op is not None and not (
+                prev.writes.isdisjoint(call)
+                and prev.op_writes.isdisjoint(call)
+                and prev.reads.isdisjoint(cwrites)
+                and prev.op_reads.isdisjoint(cwrites)
+            ):
                 return True
         return False
 
@@ -721,15 +737,9 @@ class DPORExplorer(Explorer):
         the same choice always carry the same footprint)."""
         if self._state_cache is None:
             return
-        op = point.op
-        if op is not None:
-            key = _target_key(op)
-            if key is not None:
-                (point.agg_reads if op.kind in _READS else point.agg_writes).add(key)
-                extra = _extra_key(op)
-                if extra is not None:
-                    point.agg_writes.add(extra)
+        point.agg_reads |= point.op_reads
         point.agg_reads |= point.reads
+        point.agg_writes |= point.op_writes
         point.agg_writes |= point.writes
 
     # -- exploration ----------------------------------------------------------
@@ -755,9 +765,7 @@ class DPORExplorer(Explorer):
                 stats.completed = True
                 return stats
         while True:
-            self._thread_clock = {}
-            for p in self._stack:
-                p.reset_run_state()
+            self._begin_run()
             strategy = _DPORStrategy(self)
             try:
                 result = execute(
@@ -781,6 +789,25 @@ class DPORExplorer(Explorer):
             if not self._backtrack():
                 stats.completed = True
                 return stats
+
+    def _begin_run(self) -> None:
+        """Set up the analysis state for the next execution.
+
+        Only :meth:`_backtrack` changes the path between executions, and
+        only at its top point, whose step it forgets; every point below
+        keeps its step, clock and registered backtrack entries, because
+        the next execution replays those steps identically and
+        :meth:`_analyse` of step ``j`` reads only points ``0..j``.  Each
+        thread's clock is therefore its clock at its latest kept step.
+        A kept step without an op has no clock and is skipped, not taken
+        as the end of the kept prefix."""
+        thread_clock: Dict[int, VectorClock] = {}
+        for point in self._stack:
+            if point.tid is None:
+                break
+            if point.clock is not None:
+                thread_clock[point.tid] = point.clock
+        self._thread_clock = thread_clock
 
     def _absorb(
         self, stats: ExplorationStats, result: Any, program_name: str, limit: int

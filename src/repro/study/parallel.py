@@ -47,6 +47,7 @@ pool — and produce results identical to :func:`repro.study.run_study`
 from __future__ import annotations
 
 import copy
+import multiprocessing.connection
 import os
 import signal
 import sys
@@ -209,6 +210,34 @@ def error_record(
         "stats": None,
         "error": error,
     }
+
+
+def exit_codes(
+    procs: List[multiprocessing.process.BaseProcess], timeout: float = 2.0
+) -> List[int]:
+    """Exit codes of the processes in ``procs`` that have exited.
+
+    Waits up to ``timeout`` seconds for the first exit, on every
+    sentinel at once, then reads the code of each process whose sentinel
+    is ready: a live process never delays reading a dead one's code.
+    Another thread (a broken pool's manager) may be reaping a dead
+    process concurrently, in which case its code appears a moment later,
+    so it is polled until the deadline."""
+    if not procs:
+        return []
+    deadline = time.monotonic() + timeout
+    exited = multiprocessing.connection.wait([p.sentinel for p in procs], timeout)
+    codes = []
+    for proc in procs:
+        if proc.sentinel not in exited:
+            continue
+        code = proc.exitcode
+        while code is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+            code = proc.exitcode
+        if code is not None:
+            codes.append(code)
+    return codes
 
 
 def load_checkpoint(path: str, config: StudyConfig) -> Dict[CellKey, dict]:
@@ -606,17 +635,14 @@ class ParallelStudyRunner:
 
         def worker_exit_codes() -> List[int]:
             """Exit codes of the dead pool workers (best effort)."""
-            procs = list(getattr(self._pool, "_processes", {}).values())
-            codes = []
-            deadline = time.monotonic() + 2.0
+            procs = [
+                proc
+                for proc in getattr(self._pool, "_processes", {}).values()
+                if proc is not None
+            ]
             for proc in procs:
-                if proc is None:
-                    continue
                 self._supervisor.register_worker(proc.pid)
-                proc.join(timeout=max(0.0, deadline - time.monotonic()))
-                if proc.exitcode is not None:
-                    codes.append(proc.exitcode)
-            return codes
+            return exit_codes(procs)
 
         def rebuild_pool(lost: List[CellKey]) -> None:
             """A worker died hard: these in-flight cells are lost.  Kill
@@ -627,10 +653,10 @@ class ParallelStudyRunner:
             # Attribution evidence first: a worker that exited on
             # -SIGKILL without our watchdog having fired was killed from
             # outside — on a loaded host that is the kernel OOM killer.
-            exit_codes = worker_exit_codes()
+            codes = worker_exit_codes()
             sigkilled = (
                 not was_watchdog
-                and any(code == -signal.SIGKILL for code in exit_codes)
+                and any(code == -signal.SIGKILL for code in codes)
             )
             self._pool.shutdown(wait=False)
             self._supervisor.sweep()  # no shard worker/holder outlives its worker

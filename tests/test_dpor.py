@@ -2,16 +2,25 @@
 
 import heapq
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DFSExplorer
-from repro.core.dpor import DPORExplorer, dependent, never_co_enabled
-from repro.engine import ExecutionObserver, ReplayStrategy, execute
+from repro.core import dpor as dpor_module
+from repro.core.dpor import (
+    DPORExplorer,
+    IterativeBPORExplorer,
+    dependent,
+    never_co_enabled,
+)
+from repro.engine import ExecutionObserver, ReplayStrategy, execute, sync_only_filter
+from repro.racedetect import detect_races
 from repro.runtime import CondVar, Mutex, Program, SharedArray, SharedVar
 from repro.runtime.context import ThreadContext
+from repro.sctbench.fixed import FIXED_TWINS
 
 from .programs import (
     figure1,
@@ -520,3 +529,94 @@ class TestSoundnessProperty:
         assert dfs.completed and dpor.completed
         assert dpor.schedules <= dfs.schedules
         assert dpor.found_bug == dfs.found_bug
+
+
+# --- the incremental analysis against its from-scratch oracle --------------
+
+
+class FromScratchDPOR(DPORExplorer):
+    """Test oracle: every execution forgets every point's step and
+    re-analyses the whole path, where the production explorer keeps the
+    prefix below the point the backtrack step changed."""
+
+    def _begin_run(self):
+        for point in self._stack:
+            point.reset_run_state()
+        super()._begin_run()
+
+
+#: The searches compared, each built from the DPOR class in effect.
+ORACLE_SEARCHES = (
+    lambda dpor_cls, **kw: dpor_cls(**kw),
+    lambda dpor_cls, **kw: dpor_cls(preemption_bound=1, **kw),
+    lambda dpor_cls, **kw: IterativeBPORExplorer(**kw),
+)
+
+#: Oracle subjects: random rich-vocabulary scripts and the fixed twins
+#: (each twin is also pinned as an explicit example).
+oracle_subject_st = st.one_of(rich_program_st, st.sampled_from(FIXED_TWINS))
+
+
+def with_twin_examples(test):
+    for factory in FIXED_TWINS:
+        test = example(subject=factory)(test)
+    return test
+
+
+def oracle_program(subject):
+    """``(program, visible filter)``: racy sites visible, as in the study,
+    so steps also carry invisible footprints."""
+    program = subject() if callable(subject) else build_rich_program(subject)
+    report = detect_races(program, runs=10, seed=0)
+    return program, report.visible_filter() if report.has_races else sync_only_filter
+
+
+def exploration_record(dpor_cls, search, program, limit, **kw):
+    """What one search decided.  Every DPORExplorer it creates — IBPOR's
+    per-bound searches and sharded branch and entry workers included — is
+    built from ``dpor_cls`` and logs its runs, in creation order."""
+    explorers = []
+
+    class Recording(dpor_cls):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self._run_log = []
+            explorers.append(self)
+
+    with mock.patch.object(dpor_module, "DPORExplorer", Recording):
+        stats = search(Recording, **kw).explore(program, limit)
+    return {
+        "stats": stats.as_dict(),
+        "executions": stats.executions,
+        "explorers": [
+            (
+                [None if r is None else r.schedule for r in e._run_log],
+                e.state_cache_hits,
+                e.frontier_sink,
+            )
+            for e in explorers
+        ],
+    }
+
+
+class TestIncrementalAnalysis:
+    @given(subject=oracle_subject_st)
+    @with_twin_examples
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matches_from_scratch_analysis(self, subject):
+        """Keeping the analysis of the replayed prefix changes nothing:
+        same stats, executions, state-cache hits, executed schedules in
+        order, and BPOR frontier entries as re-analysing every step."""
+        program, filt = oracle_program(subject)
+        for search in ORACLE_SEARCHES:
+            incremental = exploration_record(
+                DPORExplorer, search, program, 100, visible_filter=filt
+            )
+            from_scratch = exploration_record(
+                FromScratchDPOR, search, program, 100, visible_filter=filt
+            )
+            assert incremental == from_scratch

@@ -34,7 +34,16 @@ from .programs import (
     producer_consumer_sem,
     unsafe_counter,
 )
-from .test_dpor import build_rich_program, rich_program_st
+from .test_dpor import (
+    ORACLE_SEARCHES,
+    FromScratchDPOR,
+    build_rich_program,
+    exploration_record,
+    oracle_program,
+    oracle_subject_st,
+    rich_program_st,
+    with_twin_examples,
+)
 
 GRID = [
     figure1,
@@ -93,6 +102,28 @@ def test_limit_hit_equivalence(shards, limit):
         serial = make().explore(factory(), limit)
         sharded = make(shards=shards).explore(factory(), limit)
         assert _canon(serial) == _canon(sharded)
+
+
+@given(subject=oracle_subject_st)
+@with_twin_examples
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_sharded_incremental_matches_from_scratch(subject):
+    """The incremental analysis holds in branch and entry workers too:
+    with every worker's explorer swapped for the from-scratch oracle,
+    the sharded search decides exactly the same things."""
+    program, filt = oracle_program(subject)
+    for search in ORACLE_SEARCHES:
+        incremental = exploration_record(
+            DPORExplorer, search, program, 100, visible_filter=filt, shards=2
+        )
+        from_scratch = exploration_record(
+            FromScratchDPOR, search, program, 100, visible_filter=filt, shards=2
+        )
+        assert incremental == from_scratch
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ statuses through retry, resume and reporting.
 """
 
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import time
@@ -21,7 +23,7 @@ from repro.study import taxonomy
 from repro.study.config import StudyConfig
 from repro.study import faults as faults_mod
 from repro.study import supervisor as sup
-from repro.study.parallel import ParallelStudyRunner, read_journal
+from repro.study.parallel import ParallelStudyRunner, exit_codes, read_journal
 from repro.study.report import resource_usage_summary
 from repro.study.runner import run_cell
 from repro.study.supervisor import (
@@ -55,6 +57,10 @@ def _fork_sleeper(seconds: float = 60.0, own_group: bool = False) -> int:
         except OSError:
             pass
     return pid
+
+
+def _die_by_sigkill() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _alive(pid: int) -> bool:
@@ -281,6 +287,29 @@ class TestStudySupervisor:
                 break
             time.sleep(0.01)
         assert not any(_alive(p) for p in orphans)
+
+    def test_exit_codes_read_a_dead_worker_past_a_live_one(self):
+        # A broken pool lists its workers in no particular order.  A live
+        # sibling listed first must not hold up reading the SIGKILLed
+        # worker's code: that code is what attributes the crash to the
+        # OOM killer.
+        ctx = multiprocessing.get_context("spawn")
+        live = ctx.Process(target=time.sleep, args=(60,))
+        dead = ctx.Process(target=_die_by_sigkill)
+        live.start()
+        dead.start()
+        try:
+            assert multiprocessing.connection.wait([dead.sentinel], 30)
+            start = time.monotonic()
+            codes = exit_codes([live, dead], timeout=10.0)
+            elapsed = time.monotonic() - start
+        finally:
+            live.kill()
+            live.join(timeout=30)
+            dead.join(timeout=30)
+        assert not live.is_alive()
+        assert codes == [-signal.SIGKILL]
+        assert elapsed < 5.0
 
 
 class TestDegradationController:
