@@ -150,13 +150,13 @@ class TestSpuriousWakeupAblation:
         correct = make_handshake(recheck=True)
 
         def run():
-            return DFSExplorer(spurious_wakeups=True).explore(buggy, 10_000)
+            return DFSExplorer(spurious_wakeups=1).explore(buggy, 10_000)
 
         with_budget = benchmark.pedantic(run, rounds=1, iterations=1)
         without = DFSExplorer().explore(buggy, 10_000)
         assert with_budget.found_bug and not without.found_bug
         assert with_budget.schedules + with_budget.executions > without.schedules
-        clean = DFSExplorer(spurious_wakeups=True).explore(correct, 10_000)
+        clean = DFSExplorer(spurious_wakeups=1).explore(correct, 10_000)
         assert clean.completed and not clean.found_bug
 
 

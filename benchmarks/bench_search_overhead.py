@@ -4,10 +4,10 @@ Four sections, all landing in ``BENCH_search.json``:
 
 **frontier** — restart-per-bound vs frontier resumption.  For each
 subject the script runs iterative bounding twice — the classic restart
-backend (``resume_frontier=False``) and the frontier-resuming backend
-(default) — asserts their ``as_dict()`` stats are byte-identical, and
-records executions, visible steps, replayed steps, saved executions and
-wall-clock for both.  Subjects are chosen so both regimes show up:
+search (the oracle in ``tests/oracles.py``) and the production
+frontier-resuming search — asserts their ``as_dict()`` stats are
+byte-identical, and records executions, visible steps, replayed steps,
+saved executions and wall-clock for both.  Subjects are chosen so both regimes show up:
 
 - the *exhaustive* group (fixed twins of sctbench programs — bug-free, so
   iterative bounding drains the whole space through final bounds 3-8):
@@ -38,7 +38,8 @@ accounted as ``snapshot_restored_steps`` (enforced unless
 
 **vclock** — the batched (SWAR-packed big-int)
 :class:`~repro.racedetect.vectorclock.VectorClock` vs the sparse
-``DictVectorClock`` reference on a FastTrack-shaped operation mix
+``DictVectorClock`` reference (``tests/oracles.py``) on a FastTrack-shaped
+operation mix
 (tick, release copy, lock/acquire joins, epoch check) at 8 and 32
 threads.  Identical final clock states required; floors: within noise of
 the dict at 8 threads (>= 0.7x), clearly ahead at 32 (>= 1.2x) — the
@@ -60,10 +61,11 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from repro.core import DFSExplorer, make_idb, make_ipb
 from repro.engine import snapshot as snapshot_mod
-from repro.racedetect.vectorclock import DictVectorClock, VectorClock
+from repro.racedetect.vectorclock import VectorClock
 from repro.sctbench import get as get_benchmark
 from repro.sctbench.fixed import (
     make_account_fixed,
@@ -72,6 +74,14 @@ from repro.sctbench.fixed import (
     make_prelude_fixed,
     make_reorder_fixed,
     make_stack_fixed,
+)
+
+# The restart search and the dict clock are test oracles, not src/ code.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import (  # noqa: E402
+    DictVectorClock,
+    make_restart_idb,
+    make_restart_ipb,
 )
 
 #: name -> (factory, exhaustive?).  Exhaustive subjects complete their
@@ -85,15 +95,19 @@ SUBJECTS = {
     "chess.WSQ": (lambda: get_benchmark("chess.WSQ").make(), False),
 }
 
-MAKERS = {"IPB": make_ipb, "IDB": make_idb}
+#: technique -> (production maker, restart oracle maker).
+MAKERS = {
+    "IPB": (make_ipb, make_restart_ipb),
+    "IDB": (make_idb, make_restart_idb),
+}
 
 
 def run_cell(name: str, factory, technique: str, limit: int) -> dict:
-    make = MAKERS[technique]
+    make, make_restart = MAKERS[technique]
     t0 = time.perf_counter()
-    naive = make(resume_frontier=False, counters=True).explore(factory(), limit)
+    naive = make_restart(counters=True).explore(factory(), limit)
     t1 = time.perf_counter()
-    frontier = make(resume_frontier=True, counters=True).explore(factory(), limit)
+    frontier = make(counters=True).explore(factory(), limit)
     t2 = time.perf_counter()
     ratio = naive.executions / max(1, frontier.executions)
     return {

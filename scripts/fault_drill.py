@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """End-to-end fault drills: prove the study runner degrades and recovers.
 
-Three drills, each runnable against **both checkpoint backends** (the
-default SQLite store and the JSONL journal):
+Three drills against the SQLite study store:
 
 ``faults`` (the default)
     A tiny pooled study with an injected worker crash and a hung cell:
@@ -35,10 +34,9 @@ faulted pass and the healing pass share one checkpoint.
 These are the CI ``fault-smoke``, ``resource-drill`` and ``store-drill``
 jobs; run them locally with::
 
-    PYTHONPATH=src python scripts/fault_drill.py                   # both backends
-    PYTHONPATH=src python scripts/fault_drill.py resource          # both backends
-    PYTHONPATH=src python scripts/fault_drill.py store             # kill-anywhere
-    PYTHONPATH=src python scripts/fault_drill.py faults journal    # one backend
+    PYTHONPATH=src python scripts/fault_drill.py             # faults
+    PYTHONPATH=src python scripts/fault_drill.py resource    # supervision
+    PYTHONPATH=src python scripts/fault_drill.py store       # kill-anywhere
 
 Exit status 0 means every degradation path behaved; any assertion prints
 what went wrong and exits 1.
@@ -56,7 +54,6 @@ import time
 
 from repro.study import ParallelStudyRunner, StoreLockedError, quick_config, taxonomy
 from repro.study.faults import ENV_FAULTS
-from repro.study.parallel import read_journal
 from repro.study.store import StudyStore, load_run, store_path_for
 from repro.study import supervisor as sup
 
@@ -66,14 +63,13 @@ HANG_CELL = ("CS.lazy01_bad", "IPB")
 TECHNIQUES = ["IPB", "IDB", "DFS"]
 
 
-def drill_config(store: bool):
+def drill_config():
     config = quick_config(limit=60)
     config.benchmarks = list(BENCHMARKS)
     # Seed-independent techniques only: retries can never change results.
     config.techniques = list(TECHNIQUES)
     config.retry_backoff = 0.0
     config.cell_hard_timeout = 4.0
-    config.store = store
     return config
 
 
@@ -83,40 +79,31 @@ def check(ok: bool, what: str) -> None:
         sys.exit(1)
 
 
-def checkpoint_integrity(ckpt: str, run_id: str, store: bool) -> None:
-    """Backend-appropriate 'the checkpoint survived the faults' check."""
-    if store:
-        s = StudyStore(store_path_for(ckpt), run_id)
-        try:
-            info = s.load_cells()
-        finally:
-            s.conn.close()
-        check(info.corrupt_lines == [], "store has no corrupt rows")
-        check(info.header is not None, "store run row intact")
-    else:
-        info = read_journal(os.path.join(ckpt, f"{run_id}.jsonl"), None)
-        check(info.corrupt_lines == [], "journal has no corrupt lines")
-        check(info.header is not None, "journal header intact")
+def checkpoint_integrity(ckpt: str, run_id: str) -> None:
+    """'The checkpoint survived the faults' check."""
+    s = StudyStore(store_path_for(ckpt), run_id)
+    try:
+        info = s.load_cells()
+    finally:
+        s.conn.close()
+    check(info.corrupt_lines == [], "store has no corrupt rows")
+    check(info.header is not None, "store run row intact")
 
 
-def supervision_count(ckpt: str, run_id: str, store: bool) -> int:
+def supervision_count(ckpt: str, run_id: str) -> int:
     """How many supervision records the checkpoint carries."""
-    if store:
-        s = StudyStore(store_path_for(ckpt), run_id)
-        try:
-            return len(s.events("supervision"))
-        finally:
-            s.conn.close()
-    with open(os.path.join(ckpt, f"{run_id}.jsonl")) as fh:
-        return sum(1 for line in fh if json.loads(line)["kind"] == "supervision")
+    s = StudyStore(store_path_for(ckpt), run_id)
+    try:
+        return len(s.events("supervision"))
+    finally:
+        s.conn.close()
 
 
-def main(store: bool = True) -> int:
-    backend = "store" if store else "journal"
+def main() -> int:
     ckpt = tempfile.mkdtemp(prefix="fault-drill-")
     progress = lambda m: print(f"    {m}", flush=True)  # noqa: E731
     try:
-        print(f"[{backend}] pass 1: study under injected crash + hang (jobs=2)")
+        print("pass 1: study under injected crash + hang (jobs=2)")
         os.environ[ENV_FAULTS] = json.dumps(
             [
                 {"cell": "/".join(CRASH_CELL), "kind": "crash",
@@ -130,7 +117,7 @@ def main(store: bool = True) -> int:
         )
         t0 = time.monotonic()
         study = ParallelStudyRunner(
-            drill_config(store), jobs=2, run_id="drill",
+            drill_config(), jobs=2, run_id="drill",
             checkpoint_dir=ckpt, progress=progress,
         ).run()
         elapsed = time.monotonic() - t0
@@ -158,15 +145,12 @@ def main(store: bool = True) -> int:
         ]
         check(not bad, f"all {len(healthy)} other cells succeeded {bad or ''}")
 
-        checkpoint_integrity(ckpt, "drill", store)
+        checkpoint_integrity(ckpt, "drill")
 
-        print(
-            f"[{backend}] pass 2: --retry-errors with faults disarmed "
-            "heals the cells"
-        )
+        print("pass 2: --retry-errors with faults disarmed heals the cells")
         del os.environ[ENV_FAULTS]
         healer = ParallelStudyRunner(
-            drill_config(store), jobs=2, run_id="drill",
+            drill_config(), jobs=2, run_id="drill",
             checkpoint_dir=ckpt, retry_errors=True, progress=progress,
         )
         result = healer.run()
@@ -177,7 +161,7 @@ def main(store: bool = True) -> int:
         )
         still_bad = [(r.info.name, t) for r in result for t in r.statuses]
         check(not still_bad, f"all cells healthy after retry {still_bad or ''}")
-        print(f"fault drill passed [{backend}]")
+        print("fault drill passed")
         return 0
     finally:
         os.environ.pop(ENV_FAULTS, None)
@@ -188,12 +172,11 @@ RESOURCE_BENCH = "CS.reorder_3_bad"
 RESOURCE_CELL = (RESOURCE_BENCH, "Rand")
 
 
-def resource_config(store: bool, **ceilings):
+def resource_config(**ceilings):
     config = quick_config(limit=60)
     config.benchmarks = [RESOURCE_BENCH]
     config.techniques = ["Rand"]
     config.retry_backoff = 0.0
-    config.store = store
     for knob, value in ceilings.items():
         setattr(config, knob, value)
     return config
@@ -210,23 +193,20 @@ def no_survivors(what: str) -> None:
     check(not leftover, f"zero surviving processes after {what} {leftover or ''}")
 
 
-def resource_main(store: bool = True) -> int:
+def resource_main() -> int:
     """The supervision drill: oom / orphan / disk-full containment."""
     if not sup.proc_available():
         print("resource drill skipped: /proc not available")
         return 0
-    backend = "store" if store else "journal"
     progress = lambda m: print(f"    {m}", flush=True)  # noqa: E731
     ckpt = tempfile.mkdtemp(prefix="resource-drill-")
     try:
-        print(f"[{backend}] pass 1: oom ballast vs a 200 MiB RSS ceiling (jobs=2)")
+        print("pass 1: oom ballast vs a 200 MiB RSS ceiling (jobs=2)")
         os.environ[ENV_FAULTS] = json.dumps([
             {"cell": "/".join(RESOURCE_CELL), "kind": "oom",
              "attempts": [0], "bytes": 400 * 1024 * 1024},
         ])
-        cfg = resource_config(
-            store, cell_max_rss=200 * 1024 * 1024, snapshots=True
-        )
+        cfg = resource_config(cell_max_rss=200 * 1024 * 1024, snapshots=True)
         runner = ParallelStudyRunner(
             cfg, jobs=2, run_id="oom", checkpoint_dir=ckpt, progress=progress,
         )
@@ -246,18 +226,18 @@ def resource_main(store: bool = True) -> int:
             "degradation touched the effective config, not the original",
         )
         check(
-            supervision_count(ckpt, "oom", store) > 0,
+            supervision_count(ckpt, "oom") > 0,
             "supervision summary checkpointed",
         )
         no_survivors("the oom pass")
 
-        print(f"[{backend}] pass 2: leaked orphan process is contained and classified")
+        print("pass 2: leaked orphan process is contained and classified")
         os.environ[ENV_FAULTS] = json.dumps([
             {"cell": "/".join(RESOURCE_CELL), "kind": "orphan",
              "attempts": [0, 1, 2, 3], "seconds": 300},
         ])
         study = ParallelStudyRunner(
-            resource_config(store, cell_max_rss=1 << 40),  # arm supervision only
+            resource_config(cell_max_rss=1 << 40),  # arm supervision only
             jobs=2, run_id="orphan", checkpoint_dir=ckpt, progress=progress,
         ).run()
         bench = study.by_name(RESOURCE_BENCH)
@@ -271,13 +251,13 @@ def resource_main(store: bool = True) -> int:
         check(not still, f"every reaped orphan is actually dead {still or ''}")
         no_survivors("the orphan pass")
 
-        print(f"[{backend}] pass 3: forced disk-full reading trips the free-space floor")
+        print("pass 3: forced disk-full reading trips the free-space floor")
         os.environ[ENV_FAULTS] = json.dumps([
             {"cell": "/".join(RESOURCE_CELL), "kind": "disk-full",
              "attempts": [0, 1, 2, 3]},
         ])
         study = ParallelStudyRunner(
-            resource_config(store, min_free_disk=1024),
+            resource_config(min_free_disk=1024),
             jobs=2, run_id="disk", checkpoint_dir=ckpt, progress=progress,
         ).run()
         check(
@@ -287,19 +267,19 @@ def resource_main(store: bool = True) -> int:
         )
         no_survivors("the disk pass")
 
-        print(f"[{backend}] pass 4: fault-free supervised run is event-free")
+        print("pass 4: fault-free supervised run is event-free")
         del os.environ[ENV_FAULTS]
         study = ParallelStudyRunner(
-            resource_config(store, cell_max_rss=1 << 40),
+            resource_config(cell_max_rss=1 << 40),
             jobs=2, run_id="clean", checkpoint_dir=ckpt, progress=progress,
         ).run()
         check(study.supervision is None, "no supervision events without faults")
         check(
-            supervision_count(ckpt, "clean", store) == 0,
+            supervision_count(ckpt, "clean") == 0,
             "checkpoint carries no supervision record",
         )
         no_survivors("the clean pass")
-        print(f"resource drill passed [{backend}]")
+        print("resource drill passed")
         return 0
     finally:
         os.environ.pop(ENV_FAULTS, None)
@@ -508,17 +488,7 @@ DRILLS = {"faults": main, "resource": resource_main, "store": store_main}
 
 if __name__ == "__main__":
     which = sys.argv[1] if len(sys.argv) > 1 else "faults"
-    if which not in DRILLS:
-        print(f"unknown drill {which!r} (one of {sorted(DRILLS)})")
+    if which not in DRILLS or len(sys.argv) > 2:
+        print(f"usage: fault_drill.py [{'|'.join(DRILLS)}]")
         sys.exit(2)
-    if which == "store":
-        sys.exit(store_main())
-    backends = sys.argv[2:] or ["store", "journal"]
-    for name in backends:
-        if name not in ("store", "journal"):
-            print(f"unknown backend {name!r} (store or journal)")
-            sys.exit(2)
-        rc = DRILLS[which](store=name == "store")
-        if rc != 0:
-            sys.exit(rc)
-    sys.exit(0)
+    sys.exit(DRILLS[which]())

@@ -21,7 +21,6 @@ from .iterative import (
     DFSExplorer,
     FrontierSearch,
     IterativeBoundingExplorer,
-    RestartSearch,
     make_idb,
     make_ipb,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "DFSExplorer",
     "FrontierSearch",
     "IterativeBoundingExplorer",
-    "RestartSearch",
     "make_ipb",
     "make_idb",
     "MapleAlgExplorer",

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..engine.executor import DEFAULT_MAX_STEPS, execute
-from ..engine.state import Kernel, VisibleFilter, coerce_spurious_budget
+from ..engine.state import Kernel, VisibleFilter
 from ..engine.strategies import SchedulerStrategy, round_robin_choice
 from ..engine.trace import ExecutionResult
 from ..runtime.program import Program
@@ -467,7 +467,7 @@ class BoundedDFS:
         self.bound = bound
         self.visible_filter = visible_filter
         self.max_steps = max_steps
-        self.spurious_wakeups = coerce_spurious_budget(spurious_wakeups)
+        self.spurious_wakeups = spurious_wakeups
         self.fast_replay = fast_replay
         #: Optional cooperative :class:`repro.core.budget.Budget`, polled by
         #: the executor between visible steps; an expired budget surfaces as

@@ -971,16 +971,15 @@ class IterativeBPORExplorer(Explorer):
     bound induces different Mazurkiewicz representatives), so
     ``schedules`` counts every execution across iterations.
 
-    With ``resume_frontier`` (default), each bound-pruned backtrack
-    candidate is recorded as a resumable stack payload — the BPOR
-    analogue of the PR 2 frontier machinery — and bound ``c+1`` explores
-    only those deferred subtrees instead of restarting from scratch.  The
-    search is complete when a bound finishes with an empty frontier:
-    every race-reversal obligation the analysis ever registered was
-    either explored or carried forward in an entry, so nothing reachable
-    remains.  ``resume_frontier=False`` keeps the classic restart loop
-    (fresh ``DPORExplorer`` per bound, ``bound_pruned`` as the stop
-    signal).
+    Each bound-pruned backtrack candidate is recorded as a resumable
+    stack payload — the BPOR analogue of the IPB/IDB frontier machinery —
+    and bound ``c+1`` explores only those deferred subtrees instead of
+    restarting from scratch.  The search is complete when a bound
+    finishes with an empty frontier: every race-reversal obligation the
+    analysis ever registered was either explored or carried forward in an
+    entry, so nothing reachable remains.  The classic restart loop (a
+    fresh ``DPORExplorer`` per bound, ``bound_pruned`` as the stop
+    signal) survives as the test oracle in ``tests/oracles.py``.
     """
 
     technique = "IBPOR"
@@ -991,7 +990,6 @@ class IterativeBPORExplorer(Explorer):
         visible_filter: Optional[VisibleFilter] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         max_bound: int = 64,
-        resume_frontier: bool = True,
         shards: int = 1,
         program_source: Any = None,
         budget: Any = None,
@@ -1002,11 +1000,10 @@ class IterativeBPORExplorer(Explorer):
             self.budget = budget
         self.max_steps = max_steps
         self.max_bound = max_bound
-        self.resume_frontier = resume_frontier
         self.shards = shards
         self.program_source = program_source
         #: Fork-dispatch the per-bound entry farm off the live image (see
-        #: :class:`DPORExplorer.snapshots`); implies the frontier loop.
+        #: :class:`DPORExplorer.snapshots`).
         self.snapshots = snapshots
 
     def _inner(
@@ -1043,13 +1040,11 @@ class IterativeBPORExplorer(Explorer):
         return False
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
-        if self.resume_frontier and (self.shards > 1 or self.snapshots):
+        if self.shards > 1 or self.snapshots:
             from .sharding import explore_sharded_ibpor
 
             return explore_sharded_ibpor(self, program, limit)
         stats = ExplorationStats(self.technique, program.name, limit)
-        if not self.resume_frontier:
-            return self._explore_restart(program, limit, stats)
         frontier: List[Dict[str, Any]] = [None]  # bound 0: one full search
         for bound in range(self.max_bound + 1):
             stats.bound = bound
@@ -1065,24 +1060,6 @@ class IterativeBPORExplorer(Explorer):
                     return stats
             frontier = sink
             if not frontier:
-                stats.completed = True
-                return stats
-        return stats
-
-    def _explore_restart(
-        self, program: Program, limit: int, stats: ExplorationStats
-    ) -> ExplorationStats:
-        for bound in range(self.max_bound + 1):
-            stats.bound = bound
-            stats.new_schedules_at_bound = 0
-            inner = self._inner(bound)
-            sub = inner.explore(program, max(1, limit - stats.schedules))
-            merge_sub_stats(stats, sub)
-            if self._promote_bug(stats, sub, bound):
-                return stats
-            if stats.deadline_hit or stats.schedules >= limit:
-                return stats
-            if sub.completed and not inner.bound_pruned:
                 stats.completed = True
                 return stats
         return stats

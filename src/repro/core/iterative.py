@@ -16,20 +16,18 @@ Accounting matches Table 3:
 - ``bound`` reports the smallest bound exposing the bug, or the bound
   reached (not fully explored) when the limit was hit.
 
-Two interchangeable search backends produce that accounting:
-
-- :class:`RestartSearch` — the classic implementation: a fresh
-  :class:`~repro.core.dfs.BoundedDFS` per bound, re-executing every
-  schedule of cost < ``c`` on the way to cost ``c`` (CHESS does the same;
-  the paper treats this as implementation cost, not a metric);
-- :class:`FrontierSearch` — frontier resumption: bound ``c``'s search
-  records every candidate the bound pruned (:class:`PrunedEdge`), and
-  bound ``c + 1`` replays the minimal prefix to each unlocked edge and
-  searches only beneath it.  Every terminal schedule is executed exactly
-  once across all bounds; the enumerated set *and order* are identical to
-  the restart backend (pruned edges sort by their bound-independent
-  ``order_path``), so all Table 3 accounting is byte-identical — only
-  ``executions`` and wall-clock shrink.
+The per-bound search is :class:`FrontierSearch` — frontier resumption:
+bound ``c``'s search records every candidate the bound pruned
+(:class:`PrunedEdge`), and bound ``c + 1`` replays the minimal prefix to
+each unlocked edge and searches only beneath it.  Every terminal schedule
+is executed exactly once across all bounds.  The enumerated set *and
+order* are identical to the classic restart-per-bound search (a fresh
+:class:`~repro.core.dfs.BoundedDFS` per bound, re-executing every schedule
+of cost < ``c``, as CHESS does; the paper treats that re-execution as
+implementation cost, not a metric): pruned edges sort by their
+bound-independent ``order_path``, so all Table 3 accounting is
+byte-identical and only ``executions`` and wall-clock shrink.  The restart
+search survives as the equivalence oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,68 +35,12 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from ..engine.executor import DEFAULT_MAX_STEPS
-from ..engine.state import VisibleFilter, coerce_spurious_budget
-from ..engine.trace import Outcome
+from ..engine.state import VisibleFilter
 from ..runtime.program import Program
 from .bounds import DELAY, PREEMPTION, BoundCost, NoBoundCost
 from .budget import Budget
 from .dfs import BoundedDFS, OrderCache, PrunedEdge, RunRecord
 from .explorer import BugReport, EngineCounters, ExplorationStats, Explorer
-
-
-class RestartSearch:
-    """Per-bound search that restarts a fresh :class:`BoundedDFS` at every
-    bound — the reference (naive) backend for iterative bounding."""
-
-    #: Whether lower-bound runs are skipped (frontier resumption).
-    resumes = False
-
-    def __init__(
-        self,
-        program: Program,
-        cost_model: BoundCost,
-        *,
-        visible_filter: Optional[VisibleFilter] = None,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        spurious_wakeups: int = 0,
-        fast_replay: bool = True,
-        budget: Optional[Budget] = None,
-    ) -> None:
-        self.program = program
-        self.cost_model = cost_model
-        self.visible_filter = visible_filter
-        self.max_steps = max_steps
-        self.spurious_wakeups = coerce_spurious_budget(spurious_wakeups)
-        self.fast_replay = fast_replay
-        self.budget = budget
-        self._order_cache: OrderCache = {}
-        self._pruned = False
-
-    def runs_at_bound(self, bound: int) -> Iterator[RunRecord]:
-        self._pruned = False
-        dfs = BoundedDFS(
-            self.program,
-            self.cost_model,
-            bound,
-            visible_filter=self.visible_filter,
-            max_steps=self.max_steps,
-            spurious_wakeups=self.spurious_wakeups,
-            order_cache=self._order_cache,
-            fast_replay=self.fast_replay,
-            budget=self.budget,
-        )
-        for record in dfs.runs():
-            if record.pruned_any:
-                self._pruned = True
-            yield record
-
-    def pruned_at_bound(self) -> bool:
-        """Whether the last fully-drained bound pruned anything (i.e. the
-        schedule space extends beyond it)."""
-        return self._pruned
-
-    def close(self) -> None:
-        """Uniform backend cleanup hook (nothing to release here)."""
 
 
 class FrontierSearch:
@@ -114,14 +56,12 @@ class FrontierSearch:
     Every schedule reached through an unlocked edge has cost exactly the
     current bound (the prefix spends the whole budget; within-bound
     continuations are free), which is precisely the "new at bound ``c``"
-    set the restart backend discovers among its re-executions — in the
-    same order, because disjoint subtrees sort the same way their roots
-    do.  ``pruned_at_bound`` is the frontier's non-emptiness: exactly the
-    restart backend's "anything pruned this bound" signal, since a
-    carried-over locked edge is re-pruned by every restart pass.
+    set a restart-per-bound search discovers among its re-executions — in
+    the same order, because disjoint subtrees sort the same way their
+    roots do.  ``pruned_at_bound`` is the frontier's non-emptiness:
+    exactly the restart search's "anything pruned this bound" signal,
+    since a carried-over locked edge is re-pruned by every restart pass.
     """
-
-    resumes = True
 
     def __init__(
         self,
@@ -138,7 +78,7 @@ class FrontierSearch:
         self.cost_model = cost_model
         self.visible_filter = visible_filter
         self.max_steps = max_steps
-        self.spurious_wakeups = coerce_spurious_budget(spurious_wakeups)
+        self.spurious_wakeups = spurious_wakeups
         self.fast_replay = fast_replay
         self.budget = budget
         self._order_cache: OrderCache = {}
@@ -207,7 +147,7 @@ class DFSExplorer(Explorer):
         self.visible_filter = visible_filter
         self.max_steps = max_steps
         self.stop_at_first_bug = stop_at_first_bug
-        self.spurious_wakeups = coerce_spurious_budget(spurious_wakeups)
+        self.spurious_wakeups = spurious_wakeups
         self.counters = counters
         self.budget = budget
         #: Worker processes to shard the search tree over (``1`` = the
@@ -332,7 +272,6 @@ class IterativeBoundingExplorer(Explorer):
         max_steps: int = DEFAULT_MAX_STEPS,
         max_bound: int = 64,
         spurious_wakeups: int = 0,
-        resume_frontier: bool = True,
         counters: bool = False,
         budget: Optional[Budget] = None,
         shards: int = 1,
@@ -346,39 +285,41 @@ class IterativeBoundingExplorer(Explorer):
         self.budget = budget
         self.visible_filter = visible_filter
         self.max_steps = max_steps
-        self.spurious_wakeups = coerce_spurious_budget(spurious_wakeups)
+        self.spurious_wakeups = spurious_wakeups
         #: Worker processes to shard each bound's search tree over
-        #: (``1`` = serial).  Sharding is frontier-based, so it implies
-        #: ``resume_frontier`` semantics; results are byte-identical to
-        #: the serial backends either way (see DESIGN.md §13).
+        #: (``1`` = serial).  Sharding is frontier-based; results are
+        #: byte-identical to the serial search (see DESIGN.md §13).
         self.shards = max(1, shards)
         #: Picklable program source for pool workers; ``None`` = inline.
         self.program_source = program_source
         #: Per-shard-task run budget before a cooperative split.
         self.split_runs = split_runs
-        #: Opt-in COW prefix snapshots (see :class:`DFSExplorer`); like
-        #: sharding this implies the frontier backend — identical
-        #: accounting, the same set and order of records.
+        #: Opt-in COW prefix snapshots (see :class:`DFSExplorer`):
+        #: identical accounting, the same set and order of records.
         self.snapshots = snapshots
         self.snapshot_procs = snapshot_procs
         #: Safety net: stop raising the bound past this (a benchmark whose
         #: space is exhausted stops earlier via the pruning signal).
         self.max_bound = max_bound
-        #: Carry the pruned frontier from bound ``c`` to ``c + 1`` instead
-        #: of restarting the DFS from scratch (identical accounting, far
-        #: fewer executions).  ``False`` selects the restart backend — the
-        #: equivalence baseline used by tests and the overhead benchmark.
-        self.resume_frontier = resume_frontier
         self.counters = counters
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
         stats = ExplorationStats(self.technique, program.name, limit)
         if self.counters:
             stats.counters = EngineCounters()
+        search = self._search(program)
+        try:
+            return self._drain(search, stats, limit)
+        finally:
+            search.close()
+
+    def _search(self, program: Program):
+        """The per-bound search backend: sharded, snapshot or plain
+        frontier — all three enumerate the same records in the same order."""
         if self.shards > 1:
             from .sharding import DEFAULT_SPLIT_RUNS, ShardedFrontierSearch
 
-            search = ShardedFrontierSearch(
+            return ShardedFrontierSearch(
                 program,
                 self.cost_model,
                 shards=self.shards,
@@ -390,15 +331,11 @@ class IterativeBoundingExplorer(Explorer):
                 budget=self.budget,
                 snapshots=self.snapshots,
             )
-            try:
-                return self._drain(search, stats, limit)
-            finally:
-                search.close()
         if self.snapshots:
             from ..engine import snapshot as snapshot_mod
 
             if snapshot_mod.fork_available():
-                search = snapshot_mod.SnapshotFrontierSearch(
+                return snapshot_mod.SnapshotFrontierSearch(
                     program,
                     self.cost_model,
                     procs=self.snapshot_procs,
@@ -407,12 +344,7 @@ class IterativeBoundingExplorer(Explorer):
                     spurious_wakeups=self.spurious_wakeups,
                     budget=self.budget,
                 )
-                try:
-                    return self._drain(search, stats, limit)
-                finally:
-                    search.close()
-        backend = FrontierSearch if self.resume_frontier else RestartSearch
-        search = backend(
+        return FrontierSearch(
             program,
             self.cost_model,
             visible_filter=self.visible_filter,
@@ -420,7 +352,6 @@ class IterativeBoundingExplorer(Explorer):
             spurious_wakeups=self.spurious_wakeups,
             budget=self.budget,
         )
-        return self._drain(search, stats, limit)
 
     def _drain(self, search, stats: ExplorationStats, limit: int) -> ExplorationStats:
         program_name = stats.program_name
@@ -430,7 +361,7 @@ class IterativeBoundingExplorer(Explorer):
             stats.bound = bound
             stats.new_schedules_at_bound = 0
             bug_at_this_bound = False
-            if stats.counters is not None and search.resumes and bound > 0:
+            if stats.counters is not None and bound > 0:
                 # A restart pass at this bound would begin by re-executing
                 # every run of the earlier bounds.
                 stats.counters.saved_executions += runs_before_bound
@@ -451,7 +382,8 @@ class IterativeBoundingExplorer(Explorer):
                     continue
                 if record.cost < bound:
                     # Re-explored from an earlier iteration; not counted.
-                    # (The frontier backend never yields these.)
+                    # (The frontier search never yields these; the
+                    # restart oracle in tests/oracles.py does.)
                     continue
                 stats.schedules += 1
                 stats.new_schedules_at_bound += 1

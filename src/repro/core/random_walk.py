@@ -24,7 +24,7 @@ import random
 from typing import List, Optional
 
 from ..engine.executor import DEFAULT_MAX_STEPS, execute
-from ..engine.state import VisibleFilter, coerce_spurious_budget
+from ..engine.state import VisibleFilter
 from ..engine.strategies import RandomStrategy
 from ..runtime.program import Program
 from .explorer import BugReport, ExplorationStats, Explorer
@@ -49,7 +49,7 @@ class RandomExplorer(Explorer):
         self.visible_filter = visible_filter
         self.max_steps = max_steps
         self.stop_at_first_bug = stop_at_first_bug
-        self.spurious_wakeups = coerce_spurious_budget(spurious_wakeups)
+        self.spurious_wakeups = spurious_wakeups
         self.budget = budget
         #: Worker processes to shard the execution-index range over
         #: (``1`` = classic serial stream, untouched).

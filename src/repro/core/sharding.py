@@ -710,8 +710,8 @@ class ShardedFrontierSearch(ShardedSearchBase):
     """Sharded frontier-resuming backend for iterative bounding.
 
     Same search-backend protocol as
-    :class:`repro.core.iterative.FrontierSearch` (``resumes`` /
-    ``runs_at_bound`` / ``pruned_at_bound``), same enumerated set and
+    :class:`repro.core.iterative.FrontierSearch` (``runs_at_bound`` /
+    ``pruned_at_bound`` / ``close``), same enumerated set and
     order: at bound 0 the parent executes run #1 in-process with a
     frontier sink and distributes the rest of the tree; at later bounds
     the unlocked frontier payloads *are* the shard descriptors.  Workers
@@ -719,8 +719,6 @@ class ShardedFrontierSearch(ShardedSearchBase):
     subtrees never duplicate an edge, so the union is exactly the serial
     frontier.
     """
-
-    resumes = True
 
     def __init__(self, program: Program, cost_model: BoundCost, **kwargs) -> None:
         super().__init__(program, cost_model, **kwargs)

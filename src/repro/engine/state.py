@@ -24,7 +24,6 @@ Semantics notes (mapping to the paper's model, section 2):
 from __future__ import annotations
 
 import enum
-import warnings
 from bisect import insort
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -60,25 +59,6 @@ def sync_only_filter(op: Op) -> bool:
     picklable, so work cells carrying it can cross process boundaries.
     """
     return False
-
-
-def coerce_spurious_budget(value) -> int:
-    """Normalize a spurious-wakeups budget to ``int``.
-
-    Historically the explorers declared ``spurious_wakeups: bool = False``
-    while the executor took an int budget ("``True`` means one").  The
-    parameter is an ``int`` end to end now; passing a ``bool`` still works
-    (``True`` → 1, ``False`` → 0) but is deprecated.
-    """
-    if type(value) is bool:
-        warnings.warn(
-            "spurious_wakeups is an int budget; passing a bool is "
-            "deprecated (True means a budget of 1)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return int(value)
-    return int(value)
 
 
 #: Op kinds whose enabledness depends on shared state (everything else is

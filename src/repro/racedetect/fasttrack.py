@@ -125,13 +125,9 @@ class FastTrackDetector(ExecutionObserver):
     resets in :meth:`on_start`.
     """
 
-    def __init__(self, clock_cls: type = VectorClock) -> None:
+    def __init__(self) -> None:
         self.races: List[RaceReport] = []
         self._seen: Set[Tuple[Location, str, str]] = set()
-        #: Clock implementation — injectable so the property tests and the
-        #: vector-clock bench can pin the packed big-int default against
-        #: ``DictVectorClock``.
-        self._clock_cls = clock_cls
         self._threads: Dict[int, VectorClock] = {}
         self._locks: Dict[str, VectorClock] = {}
         self._vars: Dict[Location, _VarState] = {}
@@ -140,7 +136,7 @@ class FastTrackDetector(ExecutionObserver):
     # -- lifecycle -----------------------------------------------------------
 
     def on_start(self, shared: Any) -> None:
-        self._threads = {0: self._clock_cls({0: 1})}
+        self._threads = {0: VectorClock({0: 1})}
         self._locks = {}
         self._vars = {}
         self._barrier_parked = {}
@@ -148,14 +144,14 @@ class FastTrackDetector(ExecutionObserver):
     def _clock(self, tid: int) -> VectorClock:
         vc = self._threads.get(tid)
         if vc is None:
-            vc = self._clock_cls({tid: 1})
+            vc = VectorClock({tid: 1})
             self._threads[tid] = vc
         return vc
 
     def _lock_vc(self, name: str) -> VectorClock:
         vc = self._locks.get(name)
         if vc is None:
-            vc = self._clock_cls()
+            vc = VectorClock()
             self._locks[name] = vc
         return vc
 
@@ -294,7 +290,7 @@ class FastTrackDetector(ExecutionObserver):
             return
         # Concurrent reads: inflate to a read vector clock (FastTrack's
         # SHARED transition).
-        st.read_vc = self._clock_cls({st.read_epoch[0]: st.read_epoch[1], tid: vc.get(tid)})
+        st.read_vc = VectorClock({st.read_epoch[0]: st.read_epoch[1], tid: vc.get(tid)})
         st.read_sites = {st.read_epoch[0]: st.read_site, tid: op.site}
         st.read_epoch = None
 

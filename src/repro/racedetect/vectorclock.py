@@ -22,10 +22,9 @@ short).  Lane payloads must stay below ``2**63`` — the top bit of each
 lane is the comparison guard — which every engine-bounded execution
 satisfies by orders of magnitude (components count visible steps).
 
-The previous sparse implementation is kept as :class:`DictVectorClock`:
-it is the reference model for the property tests in
-``tests/test_snapshot_equivalence.py`` and the baseline for the
-vector-clock microbenchmark in ``benchmarks/bench_search_overhead.py``.
+The previous sparse dict-backed clock lives on in ``tests/oracles.py`` as
+the reference model for the property tests and the baseline of the
+vector-clock microbenchmark.
 """
 
 from __future__ import annotations
@@ -173,64 +172,3 @@ class VectorClock:
     def __repr__(self) -> str:
         inner = ", ".join(f"T{t}:{c}" for t, c in self.items())
         return f"VC({inner})"
-
-
-class DictVectorClock:
-    """The original sparse dict-backed clock.
-
-    Retained as the behavioural reference for :class:`VectorClock` (see the
-    property tests) and as the baseline side of the vector-clock
-    microbenchmark.  Keep the two APIs identical.
-    """
-
-    __slots__ = ("_d",)
-
-    def __init__(self, clocks: Optional[Dict[int, int]] = None) -> None:
-        self._d: Dict[int, int] = dict(clocks) if clocks else {}
-
-    @property
-    def clocks(self) -> Dict[int, int]:
-        return {tid: clk for tid, clk in self._d.items() if clk}
-
-    def copy(self) -> "DictVectorClock":
-        return DictVectorClock(self._d)
-
-    def get(self, tid: int) -> int:
-        return self._d.get(tid, 0)
-
-    def set(self, tid: int, value: int) -> None:
-        self._d[tid] = value
-
-    def tick(self, tid: int) -> None:
-        self._d[tid] = self._d.get(tid, 0) + 1
-
-    def join(self, other: "DictVectorClock") -> None:
-        for tid, clk in other._d.items():
-            if clk > self._d.get(tid, 0):
-                self._d[tid] = clk
-
-    def epoch(self, tid: int) -> Epoch:
-        return (tid, self._d.get(tid, 0))
-
-    def covers_epoch(self, epoch: Epoch) -> bool:
-        tid, clk = epoch
-        return clk <= self._d.get(tid, 0)
-
-    def leq(self, other: "DictVectorClock") -> bool:
-        return all(clk <= other._d.get(tid, 0) for tid, clk in self._d.items())
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return ((tid, clk) for tid, clk in sorted(self._d.items()) if clk)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DictVectorClock):
-            return NotImplemented
-        keys = set(self._d) | set(other._d)
-        return all(self.get(k) == other.get(k) for k in keys)
-
-    def __hash__(self) -> int:  # pragma: no cover - clocks are mutable
-        raise TypeError("DictVectorClock is mutable and unhashable")
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"T{t}:{c}" for t, c in self.items())
-        return f"DictVC({inner})"

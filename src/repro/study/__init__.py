@@ -33,7 +33,6 @@ from .config import derive_seed
 from .faults import FaultPlan, FaultSpec
 from .parallel import ParallelStudyRunner, StudyInterrupted, run_study_parallel
 from .store import (
-    JournalBackend,
     StoreBackend,
     StoreLockedError,
     StudyStore,
@@ -67,7 +66,6 @@ __all__ = [
     "StudyInterrupted",
     "StudyStore",
     "StoreBackend",
-    "JournalBackend",
     "StoreLockedError",
     "open_backend",
     "read_journal",

@@ -9,8 +9,8 @@ produces ``table1.txt`` … ``table3.txt``, ``figure2a.txt``/``2b``,
 ``comparison.txt``, ``report.txt`` and ``raw.json``.
 
 ``--jobs N`` fans the study's (benchmark, technique) cells over N worker
-processes; ``--run-id`` names a checkpoint journal so an interrupted run
-resumes where it stopped::
+processes; ``--run-id`` names a run in the checkpoint store so an
+interrupted run resumes where it stopped::
 
     python -m repro.study --jobs 8 --run-id full-study --out results/
 """
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--checkpoint-dir", default=DEFAULT_CHECKPOINT_DIR,
-        help=f"cell checkpoint directory (default: {DEFAULT_CHECKPOINT_DIR})",
+        help=f"study store directory (default: {DEFAULT_CHECKPOINT_DIR})",
     )
     parser.add_argument(
         "--cell-deadline", type=float, default=None, metavar="SECONDS",
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--retry-errors", action="store_true",
-        help="on resume, re-run journaled cells whose status is "
+        help="on resume, re-run stored cells whose status is "
              "timeout/diverged/error/quarantined/oom/resource instead of "
              "skipping them",
     )
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
         "--min-free-disk", type=parse_size, default=None, metavar="SIZE",
         help="free-disk floor under the checkpoint directory, e.g. 1G; "
              "dropping below it stops the cell with status 'resource' "
-             "before a full disk can corrupt the journal (default: no "
+             "before a full disk can corrupt the store (default: no "
              "floor)",
     )
     parser.add_argument(
@@ -168,15 +168,6 @@ def main(argv=None) -> int:
              "cell the runner turns off snapshots, then halves shards, "
              "for subsequent cells — go-slower knobs only, never part of "
              "the fingerprint)",
-    )
-    parser.add_argument(
-        "--store", action=argparse.BooleanOptionalAction, default=True,
-        help="checkpoint backend: the crash-consistent SQLite store "
-             "(study.sqlite under --checkpoint-dir; WAL mode, per-cell "
-             "durable commits, single-writer lease) — the default.  "
-             "--no-store uses the v2 JSONL journal instead; a journal "
-             "run is migrated into the store on its next store-backed "
-             "resume.  Pure storage, never part of the fingerprint",
     )
     parser.add_argument(
         "--list-runs", action="store_true",
@@ -225,7 +216,6 @@ def main(argv=None) -> int:
     config.min_free_disk = args.min_free_disk
     config.auto_degrade = args.auto_degrade
     config.supervise_dir = args.checkpoint_dir
-    config.store = args.store
 
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr, flush=True)
     t0 = time.time()
@@ -240,7 +230,7 @@ def main(argv=None) -> int:
         )
         try:
             study = runner.run()
-        except ValueError as exc:  # e.g. checkpoint fingerprint mismatch
+        except ValueError as exc:  # fingerprint mismatch, unopenable store
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except StudyInterrupted as exc:

@@ -128,7 +128,7 @@ class StudyConfig:
     #: Free-disk floor in bytes (``--min-free-disk``) for the
     #: checkpoint/results filesystem; a cell that observes less free
     #: space stops with status ``resource`` instead of filling the disk
-    #: with journal/artifact writes.  Fingerprint rule as
+    #: with store/artifact writes.  Fingerprint rule as
     #: :attr:`cell_max_rss`.
     min_free_disk: Optional[int] = None
     #: Directory the disk guard watches (set by the runner/CLI to the
@@ -145,13 +145,6 @@ class StudyConfig:
     #: :mod:`repro.study.faults`).  Testing only; merged with the
     #: ``REPRO_STUDY_FAULTS`` environment variable.
     faults: Optional[List[dict]] = None
-    #: Checkpoint backend (``--store``/``--no-store``): ``True`` (the
-    #: default) persists runs in the crash-consistent SQLite store
-    #: (:mod:`repro.study.store`); ``False`` uses the v2 JSONL journal.
-    #: Pure storage — cell results are identical either way — so it is
-    #: never part of the fingerprint and a run may be resumed under
-    #: either backend (the store imports the journal transparently).
-    store: bool = True
     #: Per-benchmark schedule-limit overrides.  The defaults trim the two
     #: entries whose *per-execution step counts* dominate wall-clock time
     #: while leaving their found/missed pattern unchanged (nothing finds
@@ -241,10 +234,6 @@ class StudyConfig:
         # directory is observational.
         payload.pop("auto_degrade", None)
         payload.pop("supervise_dir", None)
-        # The checkpoint backend is pure storage: the same cells produce
-        # the same records in either, and the store migrates journals, so
-        # resuming under the other backend is explicitly supported.
-        payload.pop("store", None)
         if payload.get("cell_deadline") is None:
             payload.pop("cell_deadline", None)
         # Resource ceilings affect results only when hit (partial stats,

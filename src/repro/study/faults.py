@@ -1,7 +1,7 @@
 """Deterministic fault injection for the study runner.
 
-The resilience layer (deadlines, watchdog, retries, quarantine, journal
-CRC) is only trustworthy if every degradation path can be exercised end to
+The resilience layer (deadlines, watchdog, retries, quarantine, record
+digests) is only trustworthy if every degradation path can be exercised end to
 end.  This module is that mechanism: a :class:`FaultPlan` — built from
 ``StudyConfig.faults`` and/or the ``REPRO_STUDY_FAULTS`` environment
 variable (worker processes inherit the environment, so env-driven plans
@@ -28,17 +28,16 @@ Kinds:
     Raises :class:`repro.engine.strategies.ReplayDivergence` — exercises
     the ``diverged`` classification.
 ``corrupt-journal``
-    The cell runs normally, but its journal line is written garbled —
-    exercises CRC detection and mid-file recovery on resume.  Under the
-    SQLite store backend the row's digest is garbled instead (same
-    detect-and-re-run semantics on read).
+    The cell runs normally, but its store row is written with a garbled
+    digest — exercises digest detection on read and the re-run of just
+    that cell on resume.
 ``store-kill``
     The cell runs normally, but the *parent* process SIGKILLs itself
     after executing the store INSERT and before the COMMIT — the
     sharpest possible mid-transaction crash.  Recovery must land on the
     previous committed cell (the torn transaction never becomes
-    visible).  Store backend only; drills run the study in a
-    subprocess to survive the kill.
+    visible).  Drills run the study in a subprocess to survive the
+    kill.
 ``oom``
     Allocates ``bytes`` (default 64 MiB) of real, touched memory and
     holds it for the rest of the cell — exercises the
@@ -195,7 +194,7 @@ class FaultPlan:
         return None
 
     def corrupts_journal(self, bench: str, technique: str) -> bool:
-        """Whether this cell's journal line should be written garbled."""
+        """Whether this cell's stored record should be written garbled."""
         return any(
             spec.kind == "corrupt-journal"
             and spec.bench == bench
@@ -280,11 +279,3 @@ def clear_injected_state() -> None:
     from . import supervisor as supervisor_mod
 
     supervisor_mod.set_disk_override(None)
-
-
-def corrupt_line(line: str) -> str:
-    """Garble one journal line the way a torn/bit-rotted write would:
-    keep it one line, break both the JSON and the CRC."""
-    body = line.rstrip("\n")
-    keep = max(len(body) - 7, 1)
-    return body[:keep] + "\x00####"

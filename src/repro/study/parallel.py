@@ -4,20 +4,16 @@ tolerance.
 The study is a grid of independent (benchmark, technique) *cells* (see
 :func:`repro.study.runner.run_cell`).  :class:`ParallelStudyRunner` fans
 the grid out over a ``ProcessPoolExecutor`` and commits every completed
-cell to a checkpoint backend (:mod:`repro.study.store`):
+cell to the crash-consistent SQLite store (:mod:`repro.study.store`:
+``results/checkpoints/study.sqlite``, WAL mode, one durable commit per
+cell, single-writer lease with heartbeat).  A run checkpointed by an
+older version as a v2 JSONL journal (``<run-id>.jsonl``) is migrated into
+the store on its next resume.
 
-* the default backend is the crash-consistent SQLite store
-  (``results/checkpoints/study.sqlite``, WAL mode, one durable commit
-  per cell, single-writer lease with heartbeat);
-* ``config.store = False`` (CLI ``--no-store``) selects the v2 JSONL
-  journal (``<run-id>.jsonl``): a fingerprint-bound header line plus one
-  fsynced CRC-tagged JSON line per cell.  A journal-only run is migrated
-  into the store transparently on its next store-backed resume.
-
-Either way a resume under a different configuration fingerprint is
-rejected instead of silently mixing results, and any corrupted record —
-torn tail, bit rot, injected garbage — is detected by its digest and
-skipped on read (that cell simply re-runs).
+A resume under a different configuration fingerprint is rejected instead
+of silently mixing results, and any corrupted record — bit rot, injected
+garbage — is detected by its digest and skipped on read (that cell
+simply re-runs).
 
 Failure taxonomy (:mod:`repro.study.taxonomy`): a cell ends ``ok``,
 ``bug``, ``timeout`` (cooperative :class:`repro.core.budget.Budget`
@@ -27,7 +23,7 @@ classified, not crashed), ``error`` (exception; retried with exponential
 backoff and a deterministic seed bump first), or ``quarantined`` (the
 cell crashed its worker process twice — the study completes without it).
 Resuming with ``retry_errors=True`` (CLI ``--retry-errors``) re-runs
-every non-success cell instead of requiring manual journal surgery.
+every non-success cell instead of requiring manual store surgery.
 
 SIGINT/SIGTERM trigger a graceful drain: stop submitting, give in-flight
 cells a short grace window, flush their records, and raise
@@ -35,7 +31,7 @@ cells a short grace window, flush their records, and raise
 0).  A second signal hard-exits.
 
 Deterministic fault injection (:mod:`repro.study.faults`) can crash a
-worker, hang a cell, force a divergence, or corrupt a journal line on an
+worker, hang a cell, force a divergence, or corrupt a stored record on an
 exact (cell, attempt) — the tests use it to prove every degradation path
 above end to end.
 
@@ -74,20 +70,9 @@ from .runner import (
     run_cell,
     study_benchmarks,
 )
-# The journal codec and both checkpoint backends live in the store
-# module; the names below are re-exported here for compatibility (tests
-# and scripts historically import them from ``repro.study.parallel``).
-from .store import (  # noqa: F401  (re-exports)
-    CHECKPOINT_VERSION,
-    JournalInfo,
-    StoreLockedError,
-    decode_journal_line,
-    encode_journal_line,
-    open_backend,
-    read_journal,
-)
+from .store import open_backend
 
-#: Default journal location, relative to the working directory.
+#: Default checkpoint directory, relative to the working directory.
 DEFAULT_CHECKPOINT_DIR = os.path.join("results", "checkpoints")
 
 #: Total tries per cell for soft failures (``error``/``diverged``): one
@@ -110,7 +95,7 @@ CellKey = Tuple[str, str]  # (benchmark name, technique)
 class StudyInterrupted(RuntimeError):
     """Raised after a graceful SIGINT/SIGTERM drain.
 
-    The journal has been flushed; ``resume_command`` (when checkpointing
+    The store has been flushed; ``resume_command`` (when checkpointing
     was on) re-runs the study and recovers every completed cell.
     """
 
@@ -240,16 +225,6 @@ def exit_codes(
     return codes
 
 
-def load_checkpoint(path: str, config: StudyConfig) -> Dict[CellKey, dict]:
-    """Completed cells recorded in journal ``path`` (empty if absent).
-
-    Compatibility shim over :func:`repro.study.store.read_journal` —
-    raises ``ValueError`` on a fingerprint mismatch; corrupted lines
-    *anywhere* in the file are skipped (those cells re-run).
-    """
-    return read_journal(path, config).completed
-
-
 class ParallelStudyRunner:
     """Fan the study's (benchmark, technique) cells over worker processes.
 
@@ -264,15 +239,15 @@ class ParallelStudyRunner:
         Worker processes (overrides ``config.jobs``).  ``1`` runs cells
         serially in-process.
     run_id:
-        Names the checkpoint journal; re-use an id to resume.  Defaults
+        Names the run in the store; re-use an id to resume.  Defaults
         to a timestamped id (fresh run, no resume).
     checkpoint_dir:
-        Journal directory; ``None`` disables checkpointing entirely.
+        Store directory; ``None`` disables checkpointing entirely.
     retry_errors:
-        On resume, re-run journaled cells whose status is retryable
+        On resume, re-run stored cells whose status is retryable
         (``timeout``/``diverged``/``error``/``quarantined``) instead of
-        skipping them.  The journal is append-only: the re-run's record
-        supersedes the old line (last record per cell wins on read).
+        skipping them.  Cell history is append-only: the re-run's record
+        supersedes the old one (last record per cell wins on read).
     """
 
     def __init__(
@@ -298,7 +273,7 @@ class ParallelStudyRunner:
         #: The configuration cells actually run under.  Starts as a copy
         #: of :attr:`config`; the degradation controller may turn off
         #: snapshots or halve shards here mid-run.  Only knobs excluded
-        #: from the fingerprint are ever touched, so the journal (which
+        #: from the fingerprint are ever touched, so the run row (which
         #: records ``config.fingerprint()``) stays valid throughout.
         self._effective = copy.copy(self.config)
         if self._effective.supervise_dir is None and checkpoint_dir:
@@ -309,12 +284,6 @@ class ParallelStudyRunner:
         self._degrade = DegradationController(
             enabled=self.config.auto_degrade, log=progress
         )
-
-    @property
-    def checkpoint_path(self) -> Optional[str]:
-        if self.checkpoint_dir is None:
-            return None
-        return os.path.join(self.checkpoint_dir, f"{self.run_id}.jsonl")
 
     def cells(self) -> List[CellKey]:
         """The full work grid, in deterministic (bench, technique) order."""
@@ -327,8 +296,8 @@ class ParallelStudyRunner:
     # -- checkpoint backend ------------------------------------------------
 
     def _open_backend(self):
-        """The run's checkpoint backend (store or journal), opened with
-        its lease held — or ``None`` when checkpointing is disabled."""
+        """The run's store backend, opened with its lease held — or
+        ``None`` when checkpointing is disabled."""
         return open_backend(
             self.config,
             self.run_id,
@@ -410,7 +379,7 @@ class ParallelStudyRunner:
         return uninstall
 
     def _resume_command(self) -> Optional[str]:
-        if self.checkpoint_path is None:
+        if self.checkpoint_dir is None:
             return None
         cmd = f"python -m repro.study --run-id {self.run_id}"
         if self.jobs > 1:
@@ -426,7 +395,7 @@ class ParallelStudyRunner:
     def _raise_interrupted(self, completed: Dict[CellKey, dict]) -> None:
         resume = self._resume_command()
         message = (
-            f"study interrupted: {len(completed)} cell(s) journaled"
+            f"study interrupted: {len(completed)} cell(s) stored"
         )
         if resume:
             message += f"; resume with: {resume}"
@@ -516,8 +485,7 @@ class ParallelStudyRunner:
 
     def _supervision_summary(self) -> Optional[dict]:
         """What supervision had to do this run, or ``None`` when nothing
-        — the fault-free journal then carries no supervision record and
-        stays byte-identical to the pre-supervision format."""
+        — a fault-free run then stores no supervision record."""
         events = self._degrade.events
         sup = self._supervisor
         if not events and not sup.reaped_orphans and not sup.tree_kills:
@@ -556,8 +524,8 @@ class ParallelStudyRunner:
             ):
                 attempt += 1
                 # A resource breach degrades *before* its own retry: the
-                # controller only acts on journaled records, so feed it
-                # the discarded attempt (without journaling it).
+                # controller only acts on stored records, so feed it
+                # the discarded attempt (without storing it).
                 self._degrade.observe(record, self._effective)
                 delay = self._backoff(attempt)
                 if delay > 0:
@@ -626,7 +594,7 @@ class ParallelStudyRunner:
                 and attempts[key] < MAX_ATTEMPTS
             ):
                 # Resource breaches degrade before their own retry; the
-                # discarded attempt is observed (not journaled) so the
+                # discarded attempt is observed (not stored) so the
                 # requeued attempt runs under the go-slower knobs.
                 self._degrade.observe(record, self._effective)
                 requeue(key)
@@ -841,7 +809,7 @@ class ParallelStudyRunner:
         backend,
     ) -> None:
         """Graceful-stop path: cancel what never started, give running
-        cells a short grace window, journal whatever finishes, then tear
+        cells a short grace window, store whatever finishes, then tear
         the pool down without waiting on stuck workers."""
         for fut in list(in_flight):
             if fut.cancel():

@@ -417,7 +417,7 @@ SHARDABLE_TECHNIQUES = frozenset(
 )
 
 #: Techniques whose random stream is derived from a per-cell seed —
-#: journaled per cell so ``--resume``/``--retry-errors`` replays the exact
+#: recorded per cell so ``--resume``/``--retry-errors`` replays the exact
 #: stream the original attempt used.
 SEEDED_TECHNIQUES = frozenset({"Rand", "PCT"})
 

@@ -4,10 +4,10 @@ One ``study.sqlite`` per checkpoint directory holds every run the
 directory has seen — runs, per-cell attempt history, supervision events,
 and the final stats payloads (inside each cell record) — and is the
 single source of truth for checkpoint/resume, ``--retry-errors``,
-reporting, and ``raw.json``-style exports.  The v2 JSONL journal
-(:func:`read_journal`) remains as the fallback format and is imported
-transparently: resuming a run that only has a ``<run-id>.jsonl`` file
-migrates it into the store on open.
+reporting, and ``raw.json``-style exports.  Runs checkpointed by older
+versions as a v2 JSONL journal (``<run-id>.jsonl``) are read-only now:
+resuming a run that only has a journal file migrates it into the store
+on open (:meth:`StudyStore.import_journal` over :func:`read_journal`).
 
 Integrity story (carried forward from the journal):
 
@@ -34,12 +34,11 @@ raises :class:`StoreLockedError` instead of corrupting it; a lease whose
 owner pid is provably dead (same host) or whose heartbeat is older than
 the TTL is taken over safely.
 
-Graceful degradation: a directory where the store cannot be opened
-(readonly filesystem, corrupt database file, disk full) falls back to
-the JSONL journal with a warning — see :func:`open_backend`.  A failed
-*append* (disk filled up mid-run) keeps the run alive; the record is
-retained in memory only and a warning names the cells that will re-run
-on resume.
+A store that cannot be opened (readonly filesystem, corrupt database
+file, disk full) is an explicit error naming the file and the fix — see
+:func:`open_backend`.  A failed *append* (disk filled up mid-run) keeps
+the run alive; the record is retained in memory only and a warning names
+the cells that will re-run on resume.
 """
 
 from __future__ import annotations
@@ -50,9 +49,9 @@ import socket
 import sqlite3
 import time
 import zlib
-from typing import Dict, List, Optional, TextIO, Tuple
+from dataclasses import asdict, fields
+from typing import Dict, List, Optional, Tuple
 
-from . import faults as faults_mod
 from . import taxonomy
 from .config import StudyConfig
 
@@ -83,8 +82,8 @@ class StoreLockedError(ValueError):
 # -- journal v2 codec -------------------------------------------------------
 #
 # The line format predates the store (journal v2); the store reuses the
-# exact canonical-JSON + CRC32 digest for its rows, so one scheme covers
-# both backends and the migration is a byte-exact re-verification.
+# exact canonical-JSON + CRC32 digest for its rows, so the migration is a
+# byte-exact re-verification.
 
 def record_digest(record: dict) -> str:
     """CRC32 (hex) of a record's canonical JSON, ``crc`` field excluded."""
@@ -123,17 +122,22 @@ def decode_journal_line(line: str) -> Optional[dict]:
 
 
 class JournalInfo:
-    """Everything one journal read learned (see :func:`read_journal`)."""
+    """Everything one checkpoint read learned (see :func:`read_journal`
+    and :meth:`StudyStore.load_cells`)."""
 
-    __slots__ = ("completed", "header", "corrupt_lines", "version")
+    __slots__ = ("completed", "header", "corrupt_lines", "version", "records")
 
     def __init__(self) -> None:
         #: Last record per cell key (a retried cell's newest record wins).
         self.completed: Dict[CellKey, dict] = {}
         self.header: Optional[dict] = None
-        #: 1-based line numbers that failed to parse or failed their CRC.
+        #: Journal: 1-based line numbers that failed to parse or their
+        #: CRC.  Store: ids of the rows that failed their digest.
         self.corrupt_lines: List[int] = []
         self.version: Optional[int] = None
+        #: Journal only: every valid non-header record in file order —
+        #: the full attempt history plus supervision records.
+        self.records: List[dict] = []
 
 
 def _fingerprint_mismatch(what: str, theirs, ours) -> ValueError:
@@ -145,9 +149,11 @@ def _fingerprint_mismatch(what: str, theirs, ours) -> ValueError:
 
 
 def read_journal(path: str, config: Optional[StudyConfig] = None) -> JournalInfo:
-    """Read a checkpoint journal, skipping corrupted lines anywhere.
+    """Read a v1/v2 checkpoint journal, skipping corrupted lines anywhere.
 
-    Raises ``ValueError`` when the journal belongs to a run with a
+    The one journal parser: journals are no longer written, only migrated
+    into the store (:meth:`StudyStore.import_journal`).  Raises
+    ``ValueError`` when the journal belongs to a run with a
     different configuration fingerprint (pass ``config=None`` to skip the
     check), or when cell records exist but the header line is unreadable
     — the fingerprint can then not be verified, so resuming would risk
@@ -174,8 +180,10 @@ def read_journal(path: str, config: Optional[StudyConfig] = None) -> JournalInfo
                     ours = config.fingerprint()
                     if theirs != ours:
                         raise _fingerprint_mismatch(path, theirs, ours)
-            elif kind == "cell":
-                info.completed[(rec["bench"], rec["technique"])] = rec
+            else:
+                info.records.append(rec)
+                if kind == "cell":
+                    info.completed[(rec["bench"], rec["technique"])] = rec
     if info.completed and info.header is None:
         raise ValueError(
             f"checkpoint {path} has cell records but no readable header "
@@ -266,6 +274,47 @@ def _pid_alive(pid: int) -> Optional[bool]:
     return True
 
 
+def _verified(text: str, crc: str) -> Optional[dict]:
+    """A stored row's record, or ``None`` when its text fails to parse or
+    to match its digest (bit rot, injected garbage)."""
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(rec, dict) or record_digest(rec) != crc:
+        return None
+    return rec
+
+
+def _read_cells(conn: sqlite3.Connection, run_id: str) -> JournalInfo:
+    """The run's cells: last *valid* record per cell wins, corrupted rows
+    are skipped and counted (those cells re-run)."""
+    info = JournalInfo()
+    for rowid, text, crc in conn.execute(
+        "SELECT id, record, crc FROM cells WHERE run_id = ? ORDER BY id",
+        (run_id,),
+    ):
+        rec = _verified(text, crc)
+        if rec is None:
+            info.corrupt_lines.append(rowid)
+        else:
+            info.completed[(rec["bench"], rec["technique"])] = rec
+    return info
+
+
+def _read_events(
+    conn: sqlite3.Connection, run_id: str, kind: Optional[str] = None
+) -> List[dict]:
+    """The run's valid event records (corrupted rows skipped), oldest first."""
+    query = "SELECT record, crc FROM events WHERE run_id = ?"
+    params: tuple = (run_id,)
+    if kind is not None:
+        query += " AND kind = ?"
+        params += (kind,)
+    rows = conn.execute(query + " ORDER BY id", params)
+    return [rec for rec in (_verified(t, c) for t, c in rows) if rec is not None]
+
+
 class StudyStore:
     """One open store file, scoped to one run (see module docstring).
 
@@ -325,8 +374,6 @@ class StudyStore:
         ours = config.fingerprint()
         row = self.run_row()
         if row is None:
-            from dataclasses import asdict
-
             with self.conn:
                 self.conn.execute(
                     "INSERT INTO runs (run_id, fingerprint, version, "
@@ -510,8 +557,8 @@ class StudyStore:
         """Completed cells of this run, journal-reader semantics: last
         *valid* record per cell wins, corrupted rows are skipped and
         counted (those cells re-run)."""
-        info = JournalInfo()
         row = self.run_row()
+        info = _read_cells(self.conn, self.run_id)
         if row is not None:
             info.header = {
                 "kind": "header",
@@ -520,35 +567,10 @@ class StudyStore:
                 "fingerprint": row["fingerprint"],
             }
             info.version = row["version"]
-        for rowid, text, crc in self.conn.execute(
-            "SELECT id, record, crc FROM cells WHERE run_id = ? ORDER BY id",
-            (self.run_id,),
-        ):
-            try:
-                rec = json.loads(text)
-            except json.JSONDecodeError:
-                rec = None
-            if rec is None or record_digest(rec) != crc:
-                info.corrupt_lines.append(rowid)
-                continue
-            info.completed[(rec["bench"], rec["technique"])] = rec
         return info
 
     def events(self, kind: Optional[str] = None) -> List[dict]:
-        query = "SELECT record, crc FROM events WHERE run_id = ?"
-        params: tuple = (self.run_id,)
-        if kind is not None:
-            query += " AND kind = ?"
-            params += (kind,)
-        out = []
-        for text, crc in self.conn.execute(query + " ORDER BY id", params):
-            try:
-                rec = json.loads(text)
-            except json.JSONDecodeError:
-                continue
-            if record_digest(rec) == crc:
-                out.append(rec)
-        return out
+        return _read_events(self.conn, self.run_id, kind)
 
     # -- journal import -----------------------------------------------------
 
@@ -557,46 +579,19 @@ class StudyStore:
 
         Called when the store has no row for this run but a journal file
         exists: every valid cell record is imported *in file order* (the
-        full attempt history, so last-wins reads agree with the journal
-        reader), supervision records land in ``events``, and corrupt
-        lines are skipped exactly as :func:`read_journal` skips them.
-        The journal file is left untouched (the run row remembers it in
-        ``imported_from``; a later resume won't re-import).
+        full attempt history, so last-wins reads agree with
+        :func:`read_journal`), supervision records land in ``events``, and
+        corrupt lines are skipped.  The journal file is left untouched
+        (the run row remembers it in ``imported_from``; a later resume
+        won't re-import).
 
-        Returns the number of cell records imported.  Raises the same
-        ``ValueError`` as :func:`read_journal` for a fingerprint mismatch
+        Returns the number of cell records imported.  Raises
+        :func:`read_journal`'s ``ValueError`` for a fingerprint mismatch
         or an unverifiable header.
         """
-        header: Optional[dict] = None
-        records: List[dict] = []
-        events: List[dict] = []
-        with open(journal_path, "r", encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = decode_journal_line(line)
-                if rec is None:
-                    continue  # corrupt line: dropped, cell re-runs
-                kind = rec.get("kind")
-                if kind == "header":
-                    header = rec
-                    theirs = rec.get("fingerprint")
-                    ours = config.fingerprint()
-                    if theirs != ours:
-                        raise _fingerprint_mismatch(journal_path, theirs, ours)
-                elif kind == "cell":
-                    records.append(rec)
-                else:
-                    events.append(rec)
-        if records and header is None:
-            raise ValueError(
-                f"checkpoint {journal_path} has cell records but no "
-                "readable header line — its configuration fingerprint "
-                "cannot be verified; use a new --run-id or delete the file"
-            )
-        from dataclasses import asdict
-
+        info = read_journal(journal_path, config)
+        header = info.header or {}
+        cells = 0
         with self.conn:
             self.conn.execute("BEGIN IMMEDIATE").close()
             self.conn.execute(
@@ -604,98 +599,27 @@ class StudyStore:
                 "config_json, imported_from) VALUES (?, ?, ?, ?, ?, ?)",
                 (
                     self.run_id,
-                    (header or {}).get("fingerprint", config.fingerprint()),
-                    (header or {}).get("version", CHECKPOINT_VERSION),
-                    (header or {}).get("ts", round(time.time(), 3)),
+                    header.get("fingerprint", config.fingerprint()),
+                    header.get("version", CHECKPOINT_VERSION),
+                    header.get("ts", round(time.time(), 3)),
                     json.dumps(asdict(config), sort_keys=True),
                     journal_path,
                 ),
             )
-            for rec in records:
-                self._insert_cell(rec)
-            for rec in events:
-                self._insert_event(rec)
-        return len(records)
+            for rec in info.records:
+                if rec.get("kind") == "cell":
+                    self._insert_cell(rec)
+                    cells += 1
+                else:
+                    self._insert_event(rec)
+        return cells
 
 
 # -- checkpoint backends ----------------------------------------------------
 
 
-class JournalBackend:
-    """The v2 JSONL journal as a checkpoint backend (fallback / opt-out).
-
-    Byte-for-byte the pre-store behaviour: header line on first open,
-    one fsynced line per record, supervision appended at close.
-    """
-
-    kind = "journal"
-
-    def __init__(
-        self,
-        config: StudyConfig,
-        run_id: str,
-        checkpoint_dir: str,
-        fault_plan=None,
-    ) -> None:
-        self.config = config
-        self.run_id = run_id
-        self.checkpoint_dir = checkpoint_dir
-        self.path = os.path.join(checkpoint_dir, f"{run_id}.jsonl")
-        self._fault_plan = fault_plan
-        self._fh: Optional[TextIO] = None
-
-    def load(self) -> Dict[CellKey, dict]:
-        return read_journal(self.path, self.config).completed
-
-    def open(self) -> None:
-        os.makedirs(self.checkpoint_dir, exist_ok=True)
-        fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if fresh:
-            header = {
-                "kind": "header",
-                "version": CHECKPOINT_VERSION,
-                "run_id": self.run_id,
-                "fingerprint": self.config.fingerprint(),
-                "ts": round(time.time(), 3),
-            }
-            self._fh.write(encode_journal_line(header) + "\n")
-            self._fh.flush()
-
-    def append(self, record: dict) -> None:
-        if self._fh is None:
-            return
-        line = encode_journal_line(record)
-        if self._fault_plan and self._fault_plan.corrupts_journal(
-            record["bench"], record["technique"]
-        ):
-            line = faults_mod.corrupt_line(line)
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def append_supervision(self, summary: dict) -> None:
-        if self._fh is None:
-            return
-        rec = dict(summary)
-        rec["kind"] = "supervision"
-        rec["ts"] = round(time.time(), 3)
-        self._fh.write(encode_journal_line(rec) + "\n")
-        self._fh.flush()
-
-    def heartbeat(self) -> None:
-        pass  # the journal has no lease
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 class StoreBackend:
-    """The SQLite store as a checkpoint backend (the default)."""
-
-    kind = "store"
+    """The SQLite store as a run's checkpoint backend."""
 
     def __init__(
         self,
@@ -719,8 +643,8 @@ class StoreBackend:
     def open(self) -> None:
         """Open + lease + (maybe) migrate.  Raises ``StoreLockedError``
         on a live concurrent writer, ``ValueError`` on a fingerprint
-        mismatch — and lets ``sqlite3.Error`` escape for
-        :func:`open_backend` to turn into a journal fallback."""
+        mismatch — and lets ``sqlite3.Error``/``OSError`` escape for
+        :func:`open_backend` to explain."""
         os.makedirs(self.checkpoint_dir, exist_ok=True)
         self.store = StudyStore(self.path, self.run_id)
         try:
@@ -802,39 +726,27 @@ def open_backend(
     checkpoint_dir: Optional[str],
     fault_plan=None,
     log=None,
-):
-    """The checkpoint backend for one run, opened and ready to append.
+) -> Optional[StoreBackend]:
+    """The run's store backend, opened with its lease held and ready to
+    append — ``None`` when checkpointing is disabled.
 
-    ``None`` when checkpointing is disabled.  The store is the default
-    (``config.store``); when it cannot be opened — readonly directory,
-    corrupt database file, disk full — the run falls back to the JSONL
-    journal with a warning instead of dying.  Lease refusal
-    (:class:`StoreLockedError`) and fingerprint mismatches (``ValueError``)
-    are *not* fallbacks: they propagate, because proceeding would corrupt
-    or mix a real run.
+    A store that cannot be opened (readonly directory, corrupt database
+    file, disk full) raises ``ValueError`` naming the file and the fix;
+    so do lease refusal (:class:`StoreLockedError`) and fingerprint
+    mismatches, because proceeding would corrupt or mix a real run.
     """
     if checkpoint_dir is None:
         return None
-    if getattr(config, "store", True):
-        backend = StoreBackend(
-            config, run_id, checkpoint_dir, fault_plan=fault_plan, log=log
-        )
-        try:
-            backend.open()
-            return backend
-        except (StoreLockedError, ValueError):
-            raise
-        except (sqlite3.Error, OSError) as exc:
-            if log:
-                log(
-                    f"warning: cannot open study store "
-                    f"{store_path_for(checkpoint_dir)} ({exc}); falling "
-                    "back to the JSONL journal"
-                )
-    backend = JournalBackend(
-        config, run_id, checkpoint_dir, fault_plan=fault_plan
+    backend = StoreBackend(
+        config, run_id, checkpoint_dir, fault_plan=fault_plan, log=log
     )
-    backend.open()
+    try:
+        backend.open()
+    except (sqlite3.Error, OSError) as exc:
+        raise ValueError(
+            f"cannot open study store {backend.path} ({exc}); move or "
+            "delete that file, or pick another --checkpoint-dir"
+        ) from exc
     return backend
 
 
@@ -906,29 +818,20 @@ def load_run(checkpoint_dir: str, run_id: str):
                 f"run {run_id!r} not found in {path} "
                 f"(known: {[r['run_id'] for r in list_runs(checkpoint_dir)]})"
             )
-        config = StudyConfig(**json.loads(row["config_json"]))
-        completed: Dict[CellKey, dict] = {}
-        for text, crc in conn.execute(
-            "SELECT record, crc FROM cells WHERE run_id = ? ORDER BY id",
-            (run_id,),
-        ):
-            try:
-                rec = json.loads(text)
-            except json.JSONDecodeError:
-                continue
-            if record_digest(rec) == crc:
-                completed[(rec["bench"], rec["technique"])] = rec
+        # Keep only current fields: rows written before a field was
+        # removed still carry it (e.g. ``"store": true``).
+        saved = json.loads(row["config_json"])
+        known = {f.name for f in fields(StudyConfig)}
+        config = StudyConfig(**{k: v for k, v in saved.items() if k in known})
+        completed = _read_cells(conn, run_id).completed
+        # The newest *valid* supervision record (a corrupted newer row is
+        # skipped, not fatal).
+        events = _read_events(conn, run_id, "supervision")
         supervision = None
-        for text, crc in conn.execute(
-            "SELECT record, crc FROM events WHERE run_id = ? AND kind = ? "
-            "ORDER BY id DESC LIMIT 1",
-            (run_id, "supervision"),
-        ):
-            rec = json.loads(text)
-            if record_digest(rec) == crc:
-                supervision = {
-                    k: v for k, v in rec.items() if k not in ("kind", "ts")
-                }
+        if events:
+            supervision = {
+                k: v for k, v in events[-1].items() if k not in ("kind", "ts")
+            }
         from .runner import assemble_study
 
         return assemble_study(config, completed, supervision)

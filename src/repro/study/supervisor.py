@@ -566,7 +566,7 @@ class DegradationController:
     intra-cell shards (never below :data:`MIN_DEGRADED_SHARDS` — the
     Rand/PCT stream regime must not change).  Both knobs are excluded
     from the checkpoint fingerprint, so degrading mid-run can never
-    invalidate the journal; the events list is stamped into the run
+    invalidate the stored run; the events list is stamped into the run
     summary for the operator.
     """
 

@@ -2,7 +2,7 @@
 
 Production SCT platforms treat stuck schedules and tool faults as
 first-class, classified outcomes rather than aborts.  Every cell record in
-the checkpoint journal carries one of these statuses:
+the checkpoint store carries one of these statuses:
 
 ========== =============================================================
 status     meaning

@@ -1,0 +1,202 @@
+"""Reference implementations the production code is pinned against.
+
+Each of these was once a selectable production backend.  They survive
+only as equivalence oracles for the tests and as the baseline side of
+``benchmarks/bench_search_overhead.py``:
+
+- :class:`RestartSearch` — restart-per-bound iterative bounding: a fresh
+  :class:`~repro.core.dfs.BoundedDFS` per bound, re-executing every
+  schedule of cost < ``c`` on the way to cost ``c`` (CHESS does the same;
+  the paper treats this as implementation cost, not a metric).  It drives
+  the production accounting loop through :class:`RestartBoundingExplorer`,
+  whose ``record.cost < bound`` guard skips the re-executions;
+- :class:`RestartIBPOR` — iterative BPOR that restarts a fresh
+  ``DPORExplorer`` per bound, with ``bound_pruned`` as the stop signal;
+- :class:`DictVectorClock` — the sparse dict-backed vector clock, the
+  behavioural model of the packed
+  :class:`~repro.racedetect.vectorclock.VectorClock`.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterator, Optional, Tuple
+
+from repro.core.bounds import DELAY, PREEMPTION, BoundCost
+from repro.core.budget import Budget
+from repro.core.dfs import BoundedDFS, OrderCache, RunRecord
+from repro.core.dpor import IterativeBPORExplorer, merge_sub_stats
+from repro.core.explorer import ExplorationStats
+from repro.core.iterative import IterativeBoundingExplorer
+from repro.engine.executor import DEFAULT_MAX_STEPS
+from repro.engine.state import VisibleFilter
+from repro.racedetect.vectorclock import Epoch
+from repro.runtime.program import Program
+
+
+class RestartSearch:
+    """Per-bound search that restarts a fresh :class:`BoundedDFS` at every
+    bound — the reference (naive) backend for iterative bounding."""
+
+    def __init__(
+        self,
+        program: Program,
+        cost_model: BoundCost,
+        *,
+        visible_filter: Optional[VisibleFilter] = None,
+        max_steps: int = DEFAULT_MAX_STEPS,
+        spurious_wakeups: int = 0,
+        fast_replay: bool = True,
+        budget: Optional[Budget] = None,
+    ) -> None:
+        self.program = program
+        self.cost_model = cost_model
+        self.visible_filter = visible_filter
+        self.max_steps = max_steps
+        self.spurious_wakeups = spurious_wakeups
+        self.fast_replay = fast_replay
+        self.budget = budget
+        self._order_cache: OrderCache = {}
+        self._pruned = False
+
+    def runs_at_bound(self, bound: int) -> Iterator[RunRecord]:
+        self._pruned = False
+        dfs = BoundedDFS(
+            self.program,
+            self.cost_model,
+            bound,
+            visible_filter=self.visible_filter,
+            max_steps=self.max_steps,
+            spurious_wakeups=self.spurious_wakeups,
+            order_cache=self._order_cache,
+            fast_replay=self.fast_replay,
+            budget=self.budget,
+        )
+        for record in dfs.runs():
+            if record.pruned_any:
+                self._pruned = True
+            yield record
+
+    def pruned_at_bound(self) -> bool:
+        """Whether the last fully-drained bound pruned anything (i.e. the
+        schedule space extends beyond it)."""
+        return self._pruned
+
+    def close(self) -> None:
+        """Uniform backend cleanup hook (nothing to release here)."""
+
+
+class RestartBoundingExplorer(IterativeBoundingExplorer):
+    """IPB/IDB over :class:`RestartSearch` instead of the frontier."""
+
+    def _search(self, program: Program) -> RestartSearch:
+        return RestartSearch(
+            program,
+            self.cost_model,
+            visible_filter=self.visible_filter,
+            max_steps=self.max_steps,
+            spurious_wakeups=self.spurious_wakeups,
+            budget=self.budget,
+        )
+
+    def explore(self, program: Program, limit: int) -> ExplorationStats:
+        stats = super().explore(program, limit)
+        if stats.counters is not None:
+            # The accounting loop credits every earlier-bound run as
+            # saved; a restart search re-executes them all.
+            stats.counters.saved_executions = 0
+        return stats
+
+
+def make_restart_ipb(**kwargs) -> RestartBoundingExplorer:
+    return RestartBoundingExplorer(PREEMPTION, "IPB", **kwargs)
+
+
+def make_restart_idb(**kwargs) -> RestartBoundingExplorer:
+    return RestartBoundingExplorer(DELAY, "IDB", **kwargs)
+
+
+class RestartIBPOR(IterativeBPORExplorer):
+    """Iterative BPOR that restarts a fresh ``DPORExplorer`` per bound."""
+
+    def explore(self, program: Program, limit: int) -> ExplorationStats:
+        stats = ExplorationStats(self.technique, program.name, limit)
+        return self._explore_restart(program, limit, stats)
+
+    def _explore_restart(
+        self, program: Program, limit: int, stats: ExplorationStats
+    ) -> ExplorationStats:
+        for bound in range(self.max_bound + 1):
+            stats.bound = bound
+            stats.new_schedules_at_bound = 0
+            inner = self._inner(bound)
+            sub = inner.explore(program, max(1, limit - stats.schedules))
+            merge_sub_stats(stats, sub)
+            if self._promote_bug(stats, sub, bound):
+                return stats
+            if stats.deadline_hit or stats.schedules >= limit:
+                return stats
+            if sub.completed and not inner.bound_pruned:
+                stats.completed = True
+                return stats
+        return stats
+
+
+class DictVectorClock:
+    """The original sparse dict-backed clock.
+
+    The behavioural reference for :class:`VectorClock` (see the property
+    tests) and the baseline side of the vector-clock microbenchmark.
+    Keep the two APIs identical.
+    """
+
+    __slots__ = ("_d",)
+
+    def __init__(self, clocks: Optional[Dict[int, int]] = None) -> None:
+        self._d: Dict[int, int] = dict(clocks) if clocks else {}
+
+    @property
+    def clocks(self) -> Dict[int, int]:
+        return {tid: clk for tid, clk in self._d.items() if clk}
+
+    def copy(self) -> "DictVectorClock":
+        return DictVectorClock(self._d)
+
+    def get(self, tid: int) -> int:
+        return self._d.get(tid, 0)
+
+    def set(self, tid: int, value: int) -> None:
+        self._d[tid] = value
+
+    def tick(self, tid: int) -> None:
+        self._d[tid] = self._d.get(tid, 0) + 1
+
+    def join(self, other: "DictVectorClock") -> None:
+        for tid, clk in other._d.items():
+            if clk > self._d.get(tid, 0):
+                self._d[tid] = clk
+
+    def epoch(self, tid: int) -> Epoch:
+        return (tid, self._d.get(tid, 0))
+
+    def covers_epoch(self, epoch: Epoch) -> bool:
+        tid, clk = epoch
+        return clk <= self._d.get(tid, 0)
+
+    def leq(self, other: "DictVectorClock") -> bool:
+        return all(clk <= other._d.get(tid, 0) for tid, clk in self._d.items())
+
+    def items(self) -> Iterator[Tuple[int, int]]:
+        return ((tid, clk) for tid, clk in sorted(self._d.items()) if clk)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DictVectorClock):
+            return NotImplemented
+        keys = set(self._d) | set(other._d)
+        return all(self.get(k) == other.get(k) for k in keys)
+
+    def __hash__(self) -> int:  # pragma: no cover - clocks are mutable
+        raise TypeError("DictVectorClock is mutable and unhashable")
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"T{t}:{c}" for t, c in self.items())
+        return f"DictVC({inner})"

@@ -10,8 +10,9 @@ searches: for any program and shard count,
   each bound, reconstructing the serial absorption order per entry;
 - truncation (schedule limits) cuts the merged stream exactly where the
   serial search would have stopped;
-- the frontier-resumption mode agrees with the classic restart-per-bound
-  loop on verdict and smallest exposing bound.
+- frontier resumption agrees with the classic restart-per-bound loop
+  (the ``tests/oracles.py`` oracle) on verdict and smallest exposing
+  bound.
 
 Most tests run the shard tasks inline (``program_source=None``); the pool
 tests cover the pickling boundary with a real ``ProcessPoolExecutor``.
@@ -26,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.dpor import DPORExplorer, IterativeBPORExplorer
 
+from .oracles import RestartIBPOR
 from .programs import (
     barrier_rendezvous,
     figure1,
@@ -162,7 +164,7 @@ class TestResumeVsRestart:
     @pytest.mark.parametrize("factory", GRID)
     def test_verdict_and_bound_agree_on_known_programs(self, factory):
         resume = IterativeBPORExplorer().explore(factory(), 10_000)
-        restart = IterativeBPORExplorer(resume_frontier=False).explore(
+        restart = RestartIBPOR().explore(
             factory(), 10_000
         )
         assert resume.found_bug == restart.found_bug
@@ -182,7 +184,7 @@ class TestResumeVsRestart:
         a bug exists and on the smallest exposing preemption bound."""
         program = build_rich_program(threads)
         resume = IterativeBPORExplorer().explore(program, 50_000)
-        restart = IterativeBPORExplorer(resume_frontier=False).explore(
+        restart = RestartIBPOR().explore(
             program, 50_000
         )
         assert resume.found_bug == restart.found_bug

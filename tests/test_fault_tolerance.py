@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -19,13 +20,15 @@ from repro.study import (
     status_summary,
     taxonomy,
 )
-from repro.study.faults import ENV_FAULTS, FaultPlan, FaultSpec, corrupt_line
-from repro.study.parallel import (
+from repro.study.faults import ENV_FAULTS, FaultPlan, FaultSpec
+from repro.study.store import (
     decode_journal_line,
     encode_journal_line,
-    load_checkpoint,
     read_journal,
+    store_path_for,
 )
+
+from .test_store import corrupt_line, stored
 
 SMALL_SET = ["CS.lazy01_bad", "CS.din_phil2_sat", "splash2.lu"]
 
@@ -34,9 +37,6 @@ def small_config(limit=60, techniques=None):
     config = quick_config(limit=limit)
     config.benchmarks = list(SMALL_SET)
     config.retry_backoff = 0.0  # keep retry tests fast
-    # Journal-backend suite: these tests assert .jsonl contents
-    # (test_store.py covers the SQLite store's equivalents).
-    config.store = False
     if techniques is not None:
         config.techniques = list(techniques)
     return config
@@ -177,7 +177,7 @@ class TestJournalV2:
         self._write_journal(
             path, config, [("a", "IPB", "error"), ("a", "IPB", "ok")]
         )
-        completed = load_checkpoint(str(path), config)
+        completed = read_journal(str(path), config).completed
         assert completed[("a", "IPB")]["status"] == "ok"
 
     def test_corrupt_header_with_cells_is_fatal(self, tmp_path):
@@ -185,7 +185,7 @@ class TestJournalV2:
         path = tmp_path / "j.jsonl"
         self._write_journal(path, config, [("a", "IPB", "ok")], mangle=0)
         with pytest.raises(ValueError, match="header"):
-            load_checkpoint(str(path), config)
+            read_journal(str(path), config)
 
     def test_v1_journal_reads_transparently(self, tmp_path):
         config = small_config()
@@ -353,7 +353,7 @@ class TestJournalFaultsAndRetryErrors:
     ):
         config = det_config()
         ckpt = str(tmp_path / "ckpt")
-        # Injected via the environment so the journal fingerprint is the
+        # Injected via the environment so the run's fingerprint is the
         # same on the resume run (env faults are not part of the config).
         monkeypatch.setenv(
             ENV_FAULTS,
@@ -364,8 +364,7 @@ class TestJournalFaultsAndRetryErrors:
         ).run()
         monkeypatch.delenv(ENV_FAULTS)
 
-        path = str(tmp_path / "ckpt" / "r1.jsonl")
-        info = read_journal(path, config)
+        info, _ = stored(ckpt, "r1")
         assert len(info.corrupt_lines) == 1
         assert ("CS.din_phil2_sat", "DFS") not in info.completed
 
@@ -382,8 +381,8 @@ class TestJournalFaultsAndRetryErrors:
         )
         resumed.run()
         assert calls == [("CS.din_phil2_sat", "DFS")]
-        # The re-run's record healed the journal.
-        info = read_journal(path, config)
+        # The re-run's record healed the run.
+        info, _ = stored(ckpt, "r1")
         assert ("CS.din_phil2_sat", "DFS") in info.completed
 
     def test_retry_errors_reruns_only_non_success_cells(
@@ -435,7 +434,20 @@ class TestJournalFaultsAndRetryErrors:
 class TestGracefulInterrupt:
     def test_sigint_drains_flushes_and_resumes(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        journal = ckpt / "sig.jsonl"
+        db = store_path_for(str(ckpt))
+
+        def stored_cells():
+            try:
+                conn = sqlite3.connect(f"file:{db}?mode=ro", uri=True)
+                try:
+                    return conn.execute(
+                        "SELECT COUNT(*) FROM cells WHERE run_id = 'sig'"
+                    ).fetchone()[0]
+                finally:
+                    conn.close()
+            except sqlite3.Error:  # not created yet
+                return 0
+
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
@@ -443,7 +455,7 @@ class TestGracefulInterrupt:
                 sys.executable, "-m", "repro.study", "--quick",
                 "--benchmarks", *SMALL_SET,
                 "--jobs", "4", "--run-id", "sig",
-                "--checkpoint-dir", str(ckpt), "--no-store",
+                "--checkpoint-dir", str(ckpt),
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -451,11 +463,11 @@ class TestGracefulInterrupt:
             text=True,
         )
         try:
-            # Wait for the journal to hold at least one cell record, so
+            # Wait for the store to hold at least one cell record, so
             # the signal lands mid-study with the runner active.
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                if journal.exists() and journal.read_text().count("\n") >= 2:
+                if stored_cells() >= 1:
                     break
                 if proc.poll() is not None:
                     pytest.fail(
@@ -463,7 +475,7 @@ class TestGracefulInterrupt:
                     )
                 time.sleep(0.1)
             else:
-                pytest.fail("journal never appeared")
+                pytest.fail("no cell record was ever stored")
             proc.send_signal(signal.SIGINT)
             out, err = proc.communicate(timeout=60)
         finally:
@@ -475,11 +487,11 @@ class TestGracefulInterrupt:
         assert "resume with" in err
         assert "--run-id sig" in err
 
-        # Every journaled line is intact, and the run is resumable.
+        # Every stored record is intact, and the run is resumable.
         config = quick_config()
         config.benchmarks = list(SMALL_SET)
         config.jobs = 2
-        info = read_journal(str(journal), config)
+        info, _ = stored(ckpt, "sig")
         assert info.corrupt_lines == []
         assert info.header is not None
         resumed = ParallelStudyRunner(

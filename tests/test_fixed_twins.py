@@ -69,7 +69,7 @@ class TestExhaustiveWhereFeasible:
         program = FIXED_TWINS[7]()  # fixed.handshake
         assert program.name == "fixed.handshake"
         stats = DFSExplorer(
-            visible_filter=filt_for(program), spurious_wakeups=True
+            visible_filter=filt_for(program), spurious_wakeups=1
         ).explore(program, 50_000)
         assert stats.completed
         assert not stats.found_bug

@@ -2,11 +2,11 @@
 the classic restart-per-bound search.
 
 The contract (DESIGN.md, "Frontier resumption"): for any program, cost
-model, and limit, ``IterativeBoundingExplorer(resume_frontier=True)``
-produces byte-identical ``as_dict()`` stats — schedules, new schedules at
-the final bound, first bug, bound, completion, width statistics — and
-enumerates the same terminal schedules in the same order; only raw
-``executions`` (and wall-clock) differ.
+model, and limit, ``IterativeBoundingExplorer`` produces byte-identical
+``as_dict()`` stats to the restart oracle (``tests/oracles.py``) —
+schedules, new schedules at the final bound, first bug, bound, completion,
+width statistics — and enumerates the same terminal schedules in the same
+order; only raw ``executions`` (and wall-clock) differ.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import DELAY, PREEMPTION, DFSExplorer, make_idb, make_ipb
-from repro.core.iterative import FrontierSearch, RestartSearch
+from repro.core.iterative import FrontierSearch
 from repro.engine import Outcome, replay
 from repro.runtime import Mutex, Program, SharedVar
 
+from .oracles import RestartSearch, make_restart_idb, make_restart_ipb
 from .programs import (
     barrier_rendezvous,
     crasher,
@@ -48,14 +49,13 @@ GRID = [
 
 MAKERS = [make_ipb, make_idb]
 
+#: Each production maker's restart oracle.
+RESTART = {make_ipb: make_restart_ipb, make_idb: make_restart_idb}
+
 
 def _pair(factory, make, limit=10_000, **kwargs):
-    naive = make(resume_frontier=False, counters=True, **kwargs).explore(
-        factory(), limit
-    )
-    frontier = make(resume_frontier=True, counters=True, **kwargs).explore(
-        factory(), limit
-    )
+    naive = RESTART[make](counters=True, **kwargs).explore(factory(), limit)
+    frontier = make(counters=True, **kwargs).explore(factory(), limit)
     return naive, frontier
 
 
@@ -123,8 +123,8 @@ def test_limit_hit_equivalence(make, limit):
 @pytest.mark.parametrize("factory", GRID)
 def test_bug_reports_replay_under_frontier_engine(factory, make):
     program = factory()
-    stats = make(resume_frontier=True).explore(program, 10_000)
-    naive = make(resume_frontier=False).explore(factory(), 10_000)
+    stats = make().explore(program, 10_000)
+    naive = RESTART[make]().explore(factory(), 10_000)
     assert stats.found_bug == naive.found_bug
     if not stats.found_bug:
         return
@@ -206,14 +206,6 @@ class TestDFSExhaustionAtLimit:
 
 
 class TestSpuriousWakeupShim:
-    def test_bool_is_deprecated_but_works(self):
-        with pytest.deprecated_call():
-            explorer = DFSExplorer(spurious_wakeups=True)
-        assert explorer.spurious_wakeups == 1
-        with pytest.deprecated_call():
-            explorer = make_ipb(spurious_wakeups=False)
-        assert explorer.spurious_wakeups == 0
-
     def test_int_passes_silently(self):
         import warnings
 

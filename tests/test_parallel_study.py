@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import sqlite3
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.study import (
     run_cell,
     run_study,
 )
-from repro.study.parallel import load_checkpoint
+from repro.study.store import read_journal, store_path_for
 
 SMALL_SET = ["CS.lazy01_bad", "CS.din_phil2_sat", "splash2.lu"]
 
@@ -22,9 +23,6 @@ SMALL_SET = ["CS.lazy01_bad", "CS.din_phil2_sat", "splash2.lu"]
 def small_config(limit=60):
     config = quick_config(limit=limit)
     config.benchmarks = list(SMALL_SET)
-    # This file exercises the JSONL journal backend's mechanics end to
-    # end (the SQLite store has its own suite in test_store.py).
-    config.store = False
     return config
 
 
@@ -85,7 +83,7 @@ class TestPicklability:
         assert pickle.loads(pickle.dumps(config)) == config
         record = run_cell("CS.lazy01_bad", "IDB", config)
         assert record["status"] == "bug"  # taxonomy: success with a bug found
-        json.dumps(record)  # JSON-safe for the checkpoint journal
+        json.dumps(record)  # JSON-safe for the checkpoint store
 
 
 class TestCheckpointResume:
@@ -111,20 +109,32 @@ class TestCheckpointResume:
         runner.run()
         assert len(calls) == total
 
-        # Simulate a mid-study kill: truncate the journal, keeping the
-        # header plus the first few completed cells (and a torn tail).
-        path = tmp_path / "ckpt" / "r1.jsonl"
-        lines = path.read_text().splitlines()
-        keep = 1 + 7  # header + 7 cells
-        path.write_text("\n".join(lines[:keep]) + '\n{"kind": "cel')
+        # Simulate a mid-study kill: keep the run row plus the first 7
+        # committed cells, and leave a garbled record for the 8th.
+        grid = runner.cells()
+        conn = sqlite3.connect(store_path_for(ckpt))
+        with conn:
+            ids = [
+                rowid
+                for (rowid,) in conn.execute(
+                    "SELECT id FROM cells WHERE run_id = 'r1' ORDER BY id"
+                )
+            ]
+            conn.execute("DELETE FROM cells WHERE id > ?", (ids[6],))
+            conn.execute(
+                "INSERT INTO cells (run_id, bench, technique, attempt, "
+                "status, record, crc) VALUES ('r1', ?, ?, 0, 'ok', "
+                "'{\"kind\": \"cel', 'deadbeef')",
+                grid[7],
+            )
+        conn.close()
 
         calls.clear()
         resumed_runner = ParallelStudyRunner(
             config, jobs=1, run_id="r1", checkpoint_dir=ckpt
         )
-        grid = resumed_runner.cells()
         resumed = resumed_runner.run()
-        # Only the cells lost to the truncation re-ran, none of the kept 7.
+        # Only the cells lost to the kill re-ran, none of the kept 7.
         assert calls == grid[7:]
         assert len(calls) == total - 7
         # The resumed study equals a from-scratch serial run.
@@ -138,14 +148,17 @@ class TestCheckpointResume:
         ).run()
         other = small_config(limit=61)
         with pytest.raises(ValueError, match="different"):
-            load_checkpoint(str(tmp_path / "ckpt" / "r1.jsonl"), other)
+            ParallelStudyRunner(
+                other, jobs=1, run_id="r1", checkpoint_dir=ckpt
+            ).run()
 
     def test_truncated_tail_is_ignored(self, tmp_path):
+        # A journal left by an older version, torn mid-line by a kill.
         config = small_config()
         path = tmp_path / "torn.jsonl"
         header = {"kind": "header", "fingerprint": config.fingerprint()}
         path.write_text(json.dumps(header) + '\n{"kind": "cell", "ben')
-        assert load_checkpoint(str(path), config) == {}
+        assert read_journal(str(path), config).completed == {}
 
 
 class TestErrorCells:

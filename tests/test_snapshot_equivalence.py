@@ -13,9 +13,9 @@ Also here, because they ship in the same change:
 - :meth:`repro.core.budget.Budget.fork_reanchor` — the deadline-transfer
   handshake a forked snapshot child performs so an inherited budget never
   widens and is polled promptly;
-- property tests pinning the dense array-backed
+- property tests pinning the packed
   :class:`repro.racedetect.vectorclock.VectorClock` to the sparse
-  :class:`~repro.racedetect.vectorclock.DictVectorClock` reference model.
+  ``DictVectorClock`` reference model in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from repro.core.budget import Budget
 from repro.core.dfs import BoundedDFS
 from repro.core.iterative import FrontierSearch
 from repro.engine import snapshot as snap
-from repro.racedetect.vectorclock import DictVectorClock, VectorClock
+from repro.racedetect.vectorclock import VectorClock
 
+from .oracles import DictVectorClock
 from .programs import (
     barrier_rendezvous,
     crasher,

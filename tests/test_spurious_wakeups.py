@@ -2,7 +2,7 @@
 
 POSIX allows ``pthread_cond_wait`` to return without a signal; code that
 checks its predicate with ``if`` instead of ``while`` is broken.  With
-``spurious_wakeups=True`` the engine makes every parked condvar waiter
+``spurious_wakeups=1`` the engine makes every parked condvar waiter
 schedulable, so systematic search exposes the missing-recheck bug; the
 correctly written variant must stay clean even under spurious wakeups.
 """
@@ -75,30 +75,30 @@ class TestWithoutSpuriousWakeups:
 
 class TestWithSpuriousWakeups:
     def test_if_variant_fails(self):
-        stats = DFSExplorer(spurious_wakeups=True).explore(
+        stats = DFSExplorer(spurious_wakeups=1).explore(
             make_handshake(recheck=False), 10_000
         )
         assert stats.found_bug
         assert stats.first_bug.outcome is Outcome.ASSERTION
 
     def test_while_variant_still_clean(self):
-        stats = DFSExplorer(spurious_wakeups=True).explore(
+        stats = DFSExplorer(spurious_wakeups=1).explore(
             make_handshake(recheck=True), 10_000
         )
         assert stats.completed
         assert not stats.found_bug
 
     def test_random_explorer_supports_it_too(self):
-        stats = RandomExplorer(seed=4, spurious_wakeups=True).explore(
+        stats = RandomExplorer(seed=4, spurious_wakeups=1).explore(
             make_handshake(recheck=False), 2_000
         )
         assert stats.found_bug
 
     def test_bug_replayable_with_flag(self):
         program = make_handshake(recheck=False)
-        stats = DFSExplorer(spurious_wakeups=True).explore(program, 10_000)
+        stats = DFSExplorer(spurious_wakeups=1).explore(program, 10_000)
         result = replay(
-            program, stats.first_bug.schedule, spurious_wakeups=True
+            program, stats.first_bug.schedule, spurious_wakeups=1
         )
         assert result.outcome is Outcome.ASSERTION
 
@@ -135,11 +135,11 @@ class TestWithSpuriousWakeups:
         program = Program("wake_vs_mutex", setup, main)
         # Exhaustive: mutual exclusion holds on every schedule, spurious
         # wake-ups included.
-        stats = DFSExplorer(spurious_wakeups=True).explore(program, 10_000)
+        stats = DFSExplorer(spurious_wakeups=1).explore(program, 10_000)
         assert stats.completed
         assert not stats.found_bug
         for seed in range(40):
-            st = RandomExplorer(seed=seed, spurious_wakeups=True).explore(
+            st = RandomExplorer(seed=seed, spurious_wakeups=1).explore(
                 program, 20
             )
             assert not st.found_bug

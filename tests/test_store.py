@@ -1,12 +1,11 @@
-"""The SQLite study store: crash consistency, leases, migration, fallback.
+"""The SQLite study store: crash consistency, leases, migration, errors.
 
-Counterpart to the journal-backend suites (test_parallel_study /
-test_fault_tolerance, which pin ``store=False``): everything here runs
-the default store backend of :mod:`repro.study.store` and proves the
-ISSUE's durability contract — commit-per-cell recovery after ``kill -9``
-at any byte boundary, single-writer leases with stale takeover,
-transparent journal-v2 migration with identical resume decisions, and
-graceful fallback when the store cannot be opened.
+Everything here runs the store backend of :mod:`repro.study.store` and
+proves its durability contract — commit-per-cell recovery after
+``kill -9`` at any byte boundary, single-writer leases with stale
+takeover, transparent journal-v2 migration with identical resume
+decisions, an explicit error when the store cannot be opened, and
+read-back of runs stored by older versions.
 """
 
 from __future__ import annotations
@@ -25,21 +24,19 @@ from repro.study import (
     ParallelStudyRunner,
     StoreLockedError,
     assemble_study,
+    paper_config,
     quick_config,
     status_summary,
     taxonomy,
 )
-from repro.study.faults import corrupt_line
 from repro.study.parallel import error_record
 from repro.study.runner import run_cell
 from repro.study.store import (
-    JournalBackend,
     StoreBackend,
     StudyStore,
     encode_journal_line,
     list_runs,
     load_run,
-    open_backend,
     read_journal,
     store_path_for,
 )
@@ -68,6 +65,31 @@ def run_store_study(tmp_path, run_id="r1", config=None, **kw):
     return runner, runner.run()
 
 
+def stored(checkpoint_dir, run_id):
+    """One stored run's ``(load_cells(), events())``."""
+    store = StudyStore(store_path_for(str(checkpoint_dir)), run_id)
+    try:
+        return store.load_cells(), store.events()
+    finally:
+        store.conn.close()
+
+
+def corrupt_line(line: str) -> str:
+    """Garble one journal line the way a torn/bit-rotted write would:
+    keep it one line, break both the JSON and the CRC."""
+    body = line.rstrip("\n")
+    keep = max(len(body) - 7, 1)
+    return body[:keep] + "\x00####"
+
+
+def normalized(study):
+    """``to_json`` with the wall-clock fields zeroed."""
+    data = json.loads(study.to_json())
+    for bench in data["benchmarks"]:
+        bench["seconds"] = 0
+    return json.dumps(data)
+
+
 class TestStoreBasics:
     def test_run_resume_and_read_path(self, tmp_path):
         cfg = small_config()
@@ -89,25 +111,18 @@ class TestStoreBasics:
         assert runs[0]["closed_ts"] is not None
         assert runs[0]["lease"] is None  # released on clean close
 
-    def test_output_identical_to_journal_backend(self, tmp_path):
-        cfg = small_config()
-        _, store_study = run_store_study(tmp_path / "s", config=cfg)
-        jcfg = small_config()
-        jcfg.store = False
-        _, journal_study = run_store_study(tmp_path / "j", config=jcfg)
+    def test_output_identical_to_uncheckpointed_run(self, tmp_path):
+        _, store_study = run_store_study(tmp_path, config=small_config())
+        plain = ParallelStudyRunner(
+            small_config(), jobs=1, checkpoint_dir=None
+        ).run()
+        assert normalized(store_study) == normalized(plain)
 
-        def normalized(study):
-            data = json.loads(study.to_json())
-            for bench in data["benchmarks"]:
-                bench["seconds"] = 0
-            return json.dumps(data)
-
-        assert normalized(store_study) == normalized(journal_study)
-
-    def test_store_flag_is_fingerprint_neutral(self):
-        a, b = small_config(), small_config()
-        b.store = False
-        assert a.fingerprint() == b.fingerprint()
+    def test_fingerprints_are_pinned(self):
+        # Stored runs resume only under an equal fingerprint, so these
+        # digests must not move when a non-result field comes or goes.
+        assert quick_config().fingerprint() == "50f083ebe09171c2"
+        assert paper_config().fingerprint() == "5a12bf8e7cc0f0b8"
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         run_store_study(tmp_path, config=small_config())
@@ -440,13 +455,17 @@ class TestJournalMigration:
         """An interrupted journal run resumes under the store: only the
         cells missing from the journal execute."""
         cfg = small_config()
-        jcfg = small_config()
-        jcfg.store = False
-        jb = JournalBackend(jcfg, "part", str(tmp_path))
-        jb.open()
-        rec = _stats_payload()
-        jb.append(rec)
-        jb.close()
+        header = {
+            "kind": "header",
+            "version": 2,
+            "run_id": "part",
+            "fingerprint": cfg.fingerprint(),
+            "ts": 1.0,
+        }
+        (tmp_path / "part.jsonl").write_text(
+            encode_journal_line(header) + "\n"
+            + encode_journal_line(_stats_payload()) + "\n"
+        )
 
         messages = []
         runner = ParallelStudyRunner(
@@ -460,20 +479,27 @@ class TestJournalMigration:
 
 
 class TestDegradation:
-    def test_corrupt_store_file_falls_back_to_journal(self, tmp_path):
-        with open(store_path_for(str(tmp_path)), "wb") as fh:
+    def test_corrupt_store_file_is_an_explicit_error(self, tmp_path, capsys):
+        path = store_path_for(str(tmp_path))
+        with open(path, "wb") as fh:
             fh.write(b"this is not a database\x00" * 64)
-        messages = []
-        cfg = small_config()
-        runner = ParallelStudyRunner(
-            cfg, jobs=1, run_id="fb", checkpoint_dir=str(tmp_path),
-            progress=messages.append,
-        )
-        study = runner.run()
-        assert any("falling back to the JSONL journal" in m for m in messages)
-        info = read_journal(str(tmp_path / "fb.jsonl"), cfg)
-        assert len(info.completed) == 4
-        assert len(study.to_json()) > 0
+        with pytest.raises(ValueError, match="cannot open study store"):
+            ParallelStudyRunner(
+                small_config(), jobs=1, run_id="fb",
+                checkpoint_dir=str(tmp_path),
+            ).run()
+
+        from repro.study.__main__ import main
+
+        code = main([
+            "--quick", "--quiet", "--benchmarks", BENCH, "--run-id", "fb",
+            "--checkpoint-dir", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert path in err
+        assert "move or delete" in err and "--checkpoint-dir" in err
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".jsonl")]
 
     def test_corrupt_digest_row_reruns_only_that_cell(
         self, tmp_path, monkeypatch
@@ -537,3 +563,60 @@ class TestCLI:
             main(["--report-run", "nope", "--checkpoint-dir", str(tmp_path)])
             == 2
         )
+
+    def test_report_run_skips_a_garbled_supervision_row(self, tmp_path, capsys):
+        cfg = small_config(techniques=["IPB"])
+        cfg.benchmarks = [BENCH]
+        run_store_study(tmp_path, config=cfg)
+        summary = {
+            "degradation": [{"action": "disable-snapshots"}],
+            "reaped_orphans": 1,
+            "tree_kills": 0,
+        }
+        store = StudyStore(store_path_for(str(tmp_path)), "r1")
+        try:
+            store.append_event(dict(summary, kind="supervision", ts=1.0))
+            with store.conn:  # a newer row whose record text is not JSON
+                store.conn.execute(
+                    "INSERT INTO events (run_id, kind, ts, record, crc) "
+                    "VALUES ('r1', 'supervision', 2.0, '{not json', '0')"
+                )
+        finally:
+            store.conn.close()
+
+        assert load_run(str(tmp_path), "r1").supervision == summary
+        from repro.study.__main__ import main
+
+        assert (
+            main(["--report-run", "r1", "--checkpoint-dir", str(tmp_path)])
+            == 0
+        )
+        assert "Study report" in capsys.readouterr().out
+
+    def test_run_stored_with_a_removed_config_field_still_reports(
+        self, tmp_path, capsys
+    ):
+        _, study = run_store_study(tmp_path, config=small_config())
+        conn = sqlite3.connect(store_path_for(str(tmp_path)))
+        with conn:  # rows written before the ``store`` field was removed
+            (text,) = conn.execute(
+                "SELECT config_json FROM runs WHERE run_id = 'r1'"
+            ).fetchone()
+            legacy = dict(json.loads(text), store=True)
+            conn.execute(
+                "UPDATE runs SET config_json = ? WHERE run_id = 'r1'",
+                (json.dumps(legacy, sort_keys=True),),
+            )
+        conn.close()
+
+        assert load_run(str(tmp_path), "r1").to_json() == study.to_json()
+        from repro.study.__main__ import main
+
+        assert (
+            main(["--report-run", "r1", "--checkpoint-dir", str(tmp_path)])
+            == 0
+        )
+        assert "Study report" in capsys.readouterr().out
+        # ...and it still resumes: same fingerprint, nothing re-runs.
+        runner, _ = run_store_study(tmp_path, config=small_config())
+        assert runner.executed_cells == []

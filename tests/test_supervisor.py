@@ -23,7 +23,7 @@ from repro.study import taxonomy
 from repro.study.config import StudyConfig
 from repro.study import faults as faults_mod
 from repro.study import supervisor as sup
-from repro.study.parallel import ParallelStudyRunner, exit_codes, read_journal
+from repro.study.parallel import ParallelStudyRunner, exit_codes
 from repro.study.report import resource_usage_summary
 from repro.study.runner import run_cell
 from repro.study.supervisor import (
@@ -32,6 +32,8 @@ from repro.study.supervisor import (
     ResourceBreach,
     StudySupervisor,
 )
+
+from .test_store import stored
 
 pytestmark = pytest.mark.skipif(
     not sup.proc_available() or not hasattr(os, "fork"),
@@ -81,7 +83,6 @@ def small_config(**kw) -> StudyConfig:
     cfg.benchmarks = [BENCH]
     cfg.techniques = kw.pop("techniques", ["Rand"])
     cfg.retry_backoff = 0.0
-    cfg.store = False  # journal-backend assertions (see test_store.py)
     for key, value in kw.items():
         setattr(cfg, key, value)
     return cfg
@@ -606,7 +607,7 @@ class TestStudyEndToEnd:
         self, tmp_path, monkeypatch
     ):
         # Inject via the env channel: it reaches forked workers but is
-        # not fingerprinted, so the resume below matches the journal.
+        # not fingerprinted, so the resume below matches the stored run.
         monkeypatch.setenv(faults_mod.ENV_FAULTS, json.dumps([{
             "cell": f"{BENCH}/Rand", "kind": "oom",
             "attempts": [0, 1], "bytes": 400 * 1024 * 1024,
@@ -635,7 +636,7 @@ class TestStudyEndToEnd:
         )
         study2 = runner2.run()
         assert study2.results[0].statuses == {}
-        info = read_journal(str(tmp_path / "oom-resume.jsonl"))
+        info, _ = stored(tmp_path, "oom-resume")
         assert taxonomy.status_of(
             info.completed[(BENCH, "Rand")]
         ) == taxonomy.BUG
@@ -737,13 +738,9 @@ class TestStudyEndToEnd:
         ParallelStudyRunner(
             cfg, jobs=2, run_id="sup-rec", checkpoint_dir=str(tmp_path)
         ).run()
-        path = str(tmp_path / "sup-rec.jsonl")
-        kinds = [
-            json.loads(line)["kind"] for line in open(path)
-        ]
-        assert "supervision" in kinds
-        # read_journal skips it without error; cells still resume.
-        info = read_journal(path, cfg)
+        info, events = stored(tmp_path, "sup-rec")
+        assert "supervision" in [ev["kind"] for ev in events]
+        # The cell reader skips it without error; cells still resume.
         assert (BENCH, "Rand") in info.completed
         assert not info.corrupt_lines
 
@@ -755,11 +752,8 @@ class TestStudyEndToEnd:
             cfg, jobs=2, run_id="clean", checkpoint_dir=str(tmp_path)
         ).run()
         assert study.supervision is None
-        kinds = [
-            json.loads(line)["kind"]
-            for line in open(str(tmp_path / "clean.jsonl"))
-        ]
-        assert "supervision" not in kinds
+        _, events = stored(tmp_path, "clean")
+        assert "supervision" not in [ev["kind"] for ev in events]
 
 
 class TestResourceReport:
