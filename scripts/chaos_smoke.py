@@ -3,8 +3,9 @@
 
 Runs each program in :data:`repro.sctbench.ADVERSARIAL` — the corpus that
 attacks the harness itself (garbage yields, foreign unlocks, impossible
-joins, leaked resources, true livelocks) — under all five of the study's
-techniques with the paranoid engine self-checks armed
+joins, leaked resources, true livelocks) — under all seven of the study's
+techniques (IPB, IDB, DFS, Rand, MapleAlg, DPOR and iterative BPOR) with
+the paranoid engine self-checks armed
 (``REPRO_ENGINE_CHECK=1``), and asserts the hardening contract
 (DESIGN.md section 12):
 
@@ -23,7 +24,8 @@ With ``--snapshots`` the systematic techniques additionally run under
 fork-based COW prefix snapshots (:mod:`repro.engine.snapshot`) with the
 fork threshold forced low, so every adversarial cell exercises holder
 forking, the woken-child containment paths, and (with
-``REPRO_ENGINE_CHECK=1``) the post-restore shared-state audit.  The
+``REPRO_ENGINE_CHECK=1``) the post-restore shared-state audit; DPOR and
+BPOR fork their branch and frontier-entry workers off the live image.  The
 iterative-bounding cells (IPB/IDB) then run on
 :class:`~repro.engine.snapshot.SnapshotFrontierSearch`, so bound-pruned
 edges park cross-bound holders and the next bound resumes from their
@@ -49,6 +51,7 @@ from repro.core import (
     make_idb,
     make_ipb,
 )
+from repro.core.dpor import DPORExplorer, IterativeBPORExplorer
 from repro.engine import engine_check_enabled
 from repro.sctbench import ADVERSARIAL
 from repro.sctbench.adversarial import EXPECTED
@@ -87,6 +90,8 @@ EXPLORERS = {
     "DFS": lambda: DFSExplorer(max_steps=MAX_STEPS, **_SNAP),
     "Rand": lambda: RandomExplorer(seed=3, max_steps=MAX_STEPS),
     "MapleAlg": lambda: MapleAlgExplorer(seed=3, max_steps=MAX_STEPS),
+    "DPOR": lambda: DPORExplorer(max_steps=MAX_STEPS, **_SNAP),
+    "BPOR": lambda: IterativeBPORExplorer(max_steps=MAX_STEPS, **_SNAP),
 }
 
 

@@ -23,6 +23,15 @@ top of our stateless, replay-based engine:
   below the point the backtrack step changed, and replay it
   deterministically, so those steps keep their clocks and the backtrack
   entries they registered; each execution analyses only its new suffix.
+  The kept prefix needs no scheduling decision either: the executor
+  replays it through its ``record_from_step`` fast path (no ``choose``,
+  no enabled-set scan), and the explorer re-seeds the width stats of the
+  replayed steps the run actually took.
+- **Key index**: per dependency key, the ascending list of analysed steps
+  touching it.  A step can only be dependent on a predecessor that shares
+  a key, so the race walk visits the union of its keys' lists, most
+  recent first — the same predecessors, in the same order, as a walk
+  over the whole path — and a step with no keys walks nothing.
 - **Sleep sets**: a sibling choice already explored at a point is put to
   sleep; a sleeping thread is skipped until an executed operation is
   dependent with the sleeper's pending operation.
@@ -36,7 +45,9 @@ top of our stateless, replay-based engine:
   conflict with the prefix are re-explored in full — that keeps the
   classic unsoundness of naive stateful DPOR out.  The cache is scoped to
   one top-level branch (cleared whenever the root point retires a choice)
-  so that serial and sharded exploration make identical decisions.
+  so that serial and sharded exploration make identical decisions.  The
+  prefix check reads the key index too: only steps touching a key of the
+  cached footprint can conflict with it.
 
 Guarantee (tested with hypothesis against full DFS): DPOR explores a
 subset of the terminal schedules, at least one per Mazurkiewicz trace —
@@ -52,10 +63,21 @@ over the full op vocabulary.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..engine.executor import DEFAULT_MAX_STEPS, execute
-from ..engine.hardening import state_fingerprint
+from ..engine.hardening import lasso_watch_from, state_fingerprint
 from ..engine.state import Kernel, VisibleFilter
 from ..engine.strategies import SchedulerStrategy, round_robin_choice
 from ..racedetect.vectorclock import VectorClock
@@ -419,11 +441,21 @@ class _CachedState(_PrunedBranch):
 class _DPORStrategy(SchedulerStrategy):
     """Replays stack decisions, extends with a default policy, collects
     per-step footprints (as an ExecutionObserver), and runs the DPOR
-    analysis for each step once its footprint is complete."""
+    analysis for each step once its footprint is complete.
 
-    def __init__(self, dpor: "DPORExplorer") -> None:
+    The first ``replayed`` steps replay a prefix an earlier execution
+    already recorded and analysed; the executor's fast path takes them
+    from :meth:`prefix_choice` without calling :meth:`choose`."""
+
+    def __init__(self, dpor: "DPORExplorer", replayed: int) -> None:
         self.dpor = dpor
+        self.replayed = replayed
         self._current: Optional[_Point] = None
+
+    def prefix_choice(self, step_index: int) -> Optional[int]:
+        if step_index < self.replayed:
+            return self.dpor._stack[step_index].chosen
+        return None
 
     # -- ExecutionObserver side --------------------------------------------
 
@@ -613,6 +645,13 @@ class DPORExplorer(Explorer):
         self._stack: List[_Point] = []
         #: Each thread's clock after its latest analysed step.
         self._thread_clock: Dict[int, VectorClock] = {}
+        #: Per dependency key, the ascending steps whose ``keys`` hold it:
+        #: exactly the predecessors the race walk can find dependent.
+        self._key_index: Dict[DepKey, List[int]] = {}
+        #: ``(choice_points, max_enabled)`` over the first ``n`` steps the
+        #: next run replays, at index ``n`` (the width stats the fast path
+        #: skips).
+        self._kept_widths: List[Tuple[int, int]] = [(0, 0)]
         self._abandoned = 0
         self._run_log: Optional[List[Any]] = None
         #: The reconstructed points when seeded (kept after they pop, so a
@@ -626,7 +665,8 @@ class DPORExplorer(Explorer):
         Runs once per recorded step: a step replayed unchanged keeps its
         result (see :meth:`_begin_run`).  Walks
         every dependent, non-happens-before predecessor from the most
-        recent backwards; at the first *reversible* race point
+        recent backwards (:meth:`_sharing_steps`); at the first
+        *reversible* race point
         (:func:`_reversible_race`) where the stepping thread was enabled,
         scheduling it there reverses the race — record it and stop.
         Dependent pairs that can never be co-enabled (a mutex release vs
@@ -652,14 +692,9 @@ class DPORExplorer(Explorer):
         keys = point.op_reads | point.op_writes | point.reads | point.writes
         point.keys = keys
         registered = False
-        for i in range(j - 1, -1, -1):
+        for i in self._sharing_steps(j, keys):
             prev = stack[i]
-            # (A step without an op was never analysed: it has no keys.)
-            if (
-                prev.tid == q
-                or keys.isdisjoint(prev.keys)
-                or not _steps_dependent(prev, point)
-            ):
+            if prev.tid == q or not _steps_dependent(prev, point):
                 continue
             clock.join(prev.clock)
             if (
@@ -707,28 +742,49 @@ class DPORExplorer(Explorer):
         clock.tick(q)
         point.clock = clock
         self._thread_clock[q] = clock
+        index = self._key_index
+        for key in keys:
+            steps = index.get(key)
+            if steps is None:
+                index[key] = [j]
+            else:
+                steps.append(j)
+
+    def _sharing_steps(self, j: int, keys: AbstractSet[DepKey]) -> Iterable[int]:
+        """The steps before ``j`` whose keys meet ``keys``, most recent
+        first: the union of the keys' :attr:`_key_index` lists, which
+        hold only steps analysed before ``j``.  Any other step shares no
+        key with ``keys``, so it cannot be dependent."""
+        index = self._key_index
+        sharing = [index[key] for key in keys if key in index]
+        if len(sharing) > 1:
+            return sorted(set().union(*sharing), reverse=True)
+        return reversed(sharing[0]) if sharing else ()
 
     # -- state cache ---------------------------------------------------------
 
     def _prefix_conflicts(self, cached: Tuple[Set[DepKey], Set[DepKey]]) -> bool:
         """Does the cached subtree's aggregate footprint conflict with any
         step of the current path?  (Conflict = the pruned subtree might
-        have registered a backtrack point in this prefix: do not prune.)"""
+        have registered a backtrack point in this prefix: do not prune.)
+
+        A step conflicts with a cached write on any key it touches, and
+        with a cached read only by writing that key — a visible op's own
+        keys count even when it is not a data access: writes and
+        lock-like ops conflict with everything on the same key.  Every
+        step of the path is analysed by now, so the key index lists
+        exactly the steps touching each key."""
         creads, cwrites = cached
-        if not creads and not cwrites:
-            return False
-        # A visible op's own keys count here even when it is not a data
-        # access: writes and lock-like ops conflict with everything on
-        # the same key.
-        call = creads | cwrites
-        for prev in self._stack:
-            if prev.op is not None and not (
-                prev.writes.isdisjoint(call)
-                and prev.op_writes.isdisjoint(call)
-                and prev.reads.isdisjoint(cwrites)
-                and prev.op_reads.isdisjoint(cwrites)
-            ):
+        index = self._key_index
+        for key in cwrites:
+            if index.get(key):
                 return True
+        stack = self._stack
+        for key in creads:
+            for i in index.get(key, ()):
+                prev = stack[i]
+                if key in prev.writes or key in prev.op_writes:
+                    return True
         return False
 
     def _fold_step(self, point: _Point) -> None:
@@ -755,6 +811,7 @@ class DPORExplorer(Explorer):
         self.state_cache_hits = 0
         self._abandoned = 0
         self._state_cache = {} if self._use_state_cache else None
+        self._key_index = {}
         self.seed_points = []
         if self.root_payload is not None:
             self._stack = [
@@ -765,8 +822,8 @@ class DPORExplorer(Explorer):
                 stats.completed = True
                 return stats
         while True:
-            self._begin_run()
-            strategy = _DPORStrategy(self)
+            replayed = self._begin_run()
+            strategy = _DPORStrategy(self, replayed)
             try:
                 result = execute(
                     program,
@@ -775,6 +832,7 @@ class DPORExplorer(Explorer):
                     visible_filter=self.visible_filter,
                     observers=(strategy,),
                     record_enabled=True,
+                    record_from_step=replayed,
                     budget=self.budget,
                 )
             except _PrunedBranch:
@@ -782,6 +840,15 @@ class DPORExplorer(Explorer):
             else:
                 if self._stack and result.schedule:
                     self._analyse(len(result.schedule) - 1)
+                # Re-seed the width stats of the replayed steps the run
+                # actually took: a budget can stop it inside the prefix,
+                # or before its first step.
+                choice_points, max_enabled = self._kept_widths[
+                    min(replayed, result.steps)
+                ]
+                result.choice_points += choice_points
+                if max_enabled > result.max_enabled:
+                    result.max_enabled = max_enabled
             if self._run_log is not None:
                 self._run_log.append(result)
             if self._absorb(stats, result, program.name, limit):
@@ -790,24 +857,50 @@ class DPORExplorer(Explorer):
                 stats.completed = True
                 return stats
 
-    def _begin_run(self) -> None:
-        """Set up the analysis state for the next execution.
+    def _begin_run(self) -> int:
+        """Set up the analysis state for the next execution; returns how
+        many of its first steps replay without :meth:`choose`.
 
         Only :meth:`_backtrack` changes the path between executions, and
         only at its top point, whose step it forgets; every point below
         keeps its step, clock and registered backtrack entries, because
         the next execution replays those steps identically and
         :meth:`_analyse` of step ``j`` reads only points ``0..j``.  Each
-        thread's clock is therefore its clock at its latest kept step.
-        A kept step without an op has no clock and is skipped, not taken
-        as the end of the kept prefix."""
+        thread's clock is therefore its clock at its latest kept step,
+        and the key index keeps exactly the kept steps.  A kept step
+        without an op has no clock and is skipped, not taken as the end
+        of the kept prefix.
+
+        A kept step needs neither :meth:`choose` nor :meth:`_analyse`, so
+        the next execution takes it through the executor's
+        ``record_from_step`` fast path, which skips the width stats too:
+        ``_kept_widths`` records them cumulatively for the caller to
+        re-seed.  The fast path stops where the lasso detector starts
+        watching, so the detector still sees every state it would."""
         thread_clock: Dict[int, VectorClock] = {}
+        widths = [(0, 0)]
+        choice_points = max_enabled = 0
+        watch_from = lasso_watch_from(self.max_steps)
+        kept = 0
         for point in self._stack:
             if point.tid is None:
                 break
             if point.clock is not None:
                 thread_clock[point.tid] = point.clock
+            kept += 1
+            if kept <= watch_from:
+                width = len(point.enabled)
+                if width > 1:
+                    choice_points += 1
+                if width > max_enabled:
+                    max_enabled = width
+                widths.append((choice_points, max_enabled))
         self._thread_clock = thread_clock
+        self._kept_widths = widths
+        for steps in self._key_index.values():
+            if steps and steps[-1] >= kept:
+                del steps[bisect_left(steps, kept):]
+        return len(widths) - 1
 
     def _absorb(
         self, stats: ExplorationStats, result: Any, program_name: str, limit: int

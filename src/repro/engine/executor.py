@@ -22,10 +22,10 @@ from ..runtime.errors import (
 )
 from ..runtime.program import Program
 from .hardening import (
-    LASSO_WINDOW,
     LassoDetector,
     audit_terminal_state,
     engine_check_enabled,
+    lasso_watch_from,
 )
 from .state import Kernel, VisibleFilter
 from .strategies import SchedulerStrategy
@@ -122,7 +122,7 @@ def execute(
     check = engine_check_enabled()
     #: Fingerprinting starts this many steps before the limit; executions
     #: finishing earlier never pay for it.
-    watch_from = max_steps - LASSO_WINDOW if max_steps > LASSO_WINDOW else 0
+    watch_from = lasso_watch_from(max_steps)
     detector: Optional[LassoDetector] = None
     misuse: Optional[MisuseReport] = None
     lasso_len: Optional[int] = None

@@ -126,11 +126,45 @@ def _leak_label(obj: SharedObject) -> Optional[str]:
 #: never pay anything.
 LASSO_WINDOW = 2048
 
+
+def lasso_watch_from(max_steps: int) -> int:
+    """The first step the lasso detector observes under ``max_steps``."""
+    return max_steps - LASSO_WINDOW if max_steps > LASSO_WINDOW else 0
+
+
 #: Sentinel meaning "this state cannot be stably fingerprinted" — such a
 #: step never matches anything, so no false cycle can be reported.
 _UNSTABLE = object()
 
 _STABLE_SCALARS = (int, float, bool, str, bytes, type(None))
+
+# How :func:`_stable_value` represents a value depends only on its type, so
+# each type is classified once: the first entry of ``_KIND_CLASSES`` it
+# subclasses (the order is the representation's precedence), else
+# ``_OTHER``, whose instances are probed one by one for a generator frame
+# or an attribute namespace.
+_SCALAR, _HANDLE, _CONTEXT, _SHARED, _TUPLE, _LIST, _DICT, _OTHER = range(8)
+_KIND_CLASSES = (
+    (_SCALAR, _STABLE_SCALARS),
+    (_HANDLE, ThreadHandle),
+    (_CONTEXT, ThreadContext),
+    (_SHARED, SharedObject),
+    (_TUPLE, tuple),
+    (_LIST, list),
+    (_DICT, dict),
+)
+#: Type -> kind, filled on each type's first sight.
+_KINDS: Dict[type, int] = {}
+
+
+def _classify(cls: type) -> int:
+    for kind, classes in _KIND_CLASSES:
+        if issubclass(cls, classes):
+            break
+    else:
+        kind = _OTHER
+    _KINDS[cls] = kind
+    return kind
 
 
 def _stable_value(value: Any, depth: int = 0) -> Any:
@@ -138,38 +172,31 @@ def _stable_value(value: Any, depth: int = 0) -> Any:
 
     Anything we cannot represent faithfully returns ``_UNSTABLE``: the
     detector then treats the whole step as unique (sound — it can only
-    *miss* livelocks, never invent one).
+    *miss* livelocks, never invent one).  Containers nest at most five
+    deep and hold at most 64 items.
     """
-    if isinstance(value, _STABLE_SCALARS):
+    cls = type(value)
+    kind = _KINDS.get(cls)
+    if kind is None:
+        kind = _classify(cls)
+    if kind == _SCALAR:
         return value
     if depth >= 5:
         return _UNSTABLE
-    if isinstance(value, ThreadHandle):
-        return ("th", value.tid, value.finished)
-    if isinstance(value, ThreadContext):
-        return ("ctx", value.tid)
-    if isinstance(value, SharedObject):
+    if kind == _SHARED:
         # Shared-object *contents* are covered by store_version (every
         # mutation bumps it); the local just names the object.
         return ("obj", value.name)
-    if isinstance(value, tuple):
+    if kind == _TUPLE:
         return _stable_seq("t", value, depth)
-    if isinstance(value, list):
+    if kind == _LIST:
         return _stable_seq("l", value, depth)
-    if isinstance(value, dict):
-        if len(value) > 64:
-            return _UNSTABLE
-        out: List[Any] = ["d"]
-        try:
-            items = sorted(value.items())
-        except TypeError:
-            return _UNSTABLE
-        for k, v in items:
-            sv = _stable_value(v, depth + 1)
-            if sv is _UNSTABLE:
-                return _UNSTABLE
-            out.append((k, sv))
-        return tuple(out)
+    if kind == _DICT:
+        return _stable_dict(value, depth)
+    if kind == _HANDLE:
+        return ("th", value.tid, value.finished)
+    if kind == _CONTEXT:
+        return ("ctx", value.tid)
     gen_frame = getattr(value, "gi_frame", None)
     if gen_frame is not None:
         # A nested generator (``yield from`` delegation): fingerprint its
@@ -184,28 +211,90 @@ def _stable_value(value: Any, depth: int = 0) -> Any:
         inner = _stable_value(dict(attrs), depth + 1)
         if inner is _UNSTABLE:
             return _UNSTABLE
-        return ("ns", type(value).__name__, inner)
+        return ("ns", cls.__name__, inner)
     return _UNSTABLE
+
+
+# The loops below inline :func:`_stable_value`'s two leaf cases, by far
+# the most common items: a scalar stands for itself at any depth, a shared
+# object for its name below the depth cap.
 
 
 def _stable_seq(tag: str, seq, depth: int):
     if len(seq) > 64:
         return _UNSTABLE
     out = [tag]
+    depth += 1
+    kinds = _KINDS
     for item in seq:
-        sv = _stable_value(item, depth + 1)
-        if sv is _UNSTABLE:
-            return _UNSTABLE
-        out.append(sv)
+        kind = kinds.get(type(item))
+        if kind == _SCALAR:
+            out.append(item)
+        elif kind == _SHARED and depth < 5:
+            out.append(("obj", item.name))
+        else:
+            sv = _stable_value(item, depth)
+            if sv is _UNSTABLE:
+                return _UNSTABLE
+            out.append(sv)
     return tuple(out)
 
 
-def _frame_digest(frame, depth: int = 0) -> Any:
+def _stable_dict(mapping, depth: int):
+    if len(mapping) > 64:
+        return _UNSTABLE
+    out: List[Any] = ["d"]
+    try:
+        items = sorted(mapping.items())
+    except TypeError:
+        return _UNSTABLE
+    depth += 1
+    kinds = _KINDS
+    for k, v in items:
+        kind = kinds.get(type(v))
+        if kind == _SCALAR:
+            out.append((k, v))
+        elif kind == _SHARED and depth < 5:
+            out.append((k, ("obj", v.name)))
+        else:
+            sv = _stable_value(v, depth)
+            if sv is _UNSTABLE:
+                return _UNSTABLE
+            out.append((k, sv))
+    return tuple(out)
+
+
+def _frame_digest(frame, depth: int = 0, seen: Optional[Dict[int, Any]] = None) -> Any:
+    """Bytecode offset plus the stable locals of one frame.
+
+    ``seen`` memoizes, by identity, the digests of locals probed per
+    instance across the frames of one state: every thread body holds the
+    program's shared namespace, which cannot change while one state is
+    being digested."""
     if frame is None:
         return ("done",)
     items: List[Any] = [frame.f_lasti]
-    for name, value in sorted(frame.f_locals.items()):
-        sv = _stable_value(value, depth)
+    kinds = _KINDS
+    local_values = frame.f_locals
+    # Names are distinct strings: sorting them orders the items as
+    # sorting the (name, value) pairs would.
+    for name in sorted(local_values):
+        value = local_values[name]
+        kind = kinds.get(type(value))
+        if kind == _SCALAR:
+            items.append((name, value))
+            continue
+        if kind == _SHARED and depth < 5:
+            items.append((name, ("obj", value.name)))
+            continue
+        if kind == _OTHER and seen is not None:
+            key = id(value)
+            if key in seen:
+                sv = seen[key]
+            else:
+                sv = seen[key] = _stable_value(value, depth)
+        else:
+            sv = _stable_value(value, depth)
         if sv is _UNSTABLE:
             return _UNSTABLE
         items.append((name, sv))
@@ -249,13 +338,17 @@ def state_fingerprint(kernel: "Kernel", enabled: Tuple[int, ...]) -> Optional[An
     """
     from .state import ThreadStatus
 
+    kinds = _KINDS
     shared: List[Any] = []
     for obj in kernel.naming.objects:
-        sv = _stable_value(_object_state(obj), 1)
-        if sv is _UNSTABLE:
-            return None
+        sv = _object_state(obj)
+        if kinds.get(type(sv)) != _SCALAR:
+            sv = _stable_value(sv, 1)
+            if sv is _UNSTABLE:
+                return None
         shared.append((obj.name, sv))
     parts: List[Any] = [tuple(shared), enabled]
+    seen: Dict[int, Any] = {}
     for ts in kernel.threads:
         if ts.status is ThreadStatus.FINISHED:
             handle = getattr(ts, "handle", None)
@@ -276,7 +369,7 @@ def state_fingerprint(kernel: "Kernel", enabled: Tuple[int, ...]) -> Optional[An
             )
         else:
             return None
-        digest = _frame_digest(ts.gen.gi_frame)
+        digest = _frame_digest(ts.gen.gi_frame, 0, seen)
         if digest is _UNSTABLE:
             return None
         parts.append((ts.tid, int(ts.status), op_key, digest))
@@ -330,6 +423,7 @@ class LassoDetector:
         from .state import ThreadStatus
 
         parts: List[Any] = [version, enabled]
+        seen: Dict[int, Any] = {}
         for ts in kernel.threads:
             status = ts.status
             if status is ThreadStatus.FINISHED:
@@ -341,7 +435,7 @@ class LassoDetector:
                 op_key = ("wait", getattr(ts.wait_obj, "name", None))
             else:
                 return None
-            digest = _frame_digest(ts.gen.gi_frame)
+            digest = _frame_digest(ts.gen.gi_frame, 0, seen)
             if digest is _UNSTABLE:
                 return None
             parts.append((ts.tid, int(status), op_key, digest))

@@ -14,12 +14,16 @@ only as equivalence oracles for the tests and as the baseline side of
   ``DPORExplorer`` per bound, with ``bound_pruned`` as the stop signal;
 - :class:`DictVectorClock` — the sparse dict-backed vector clock, the
   behavioural model of the packed
-  :class:`~repro.racedetect.vectorclock.VectorClock`.
+  :class:`~repro.racedetect.vectorclock.VectorClock`;
+- :func:`state_fingerprint` with :func:`_stable_value`,
+  :func:`_stable_seq` and :func:`_frame_digest` — the ``isinstance``-chain
+  state digest, the behavioural model of the type-dispatched one in
+  :mod:`repro.engine.hardening`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.bounds import DELAY, PREEMPTION, BoundCost
 from repro.core.budget import Budget
@@ -28,8 +32,11 @@ from repro.core.dpor import IterativeBPORExplorer, merge_sub_stats
 from repro.core.explorer import ExplorationStats
 from repro.core.iterative import IterativeBoundingExplorer
 from repro.engine.executor import DEFAULT_MAX_STEPS
+from repro.engine.hardening import _STABLE_SCALARS, _UNSTABLE, _object_state
 from repro.engine.state import VisibleFilter
 from repro.racedetect.vectorclock import Epoch
+from repro.runtime.context import ThreadContext, ThreadHandle
+from repro.runtime.objects import SharedObject
 from repro.runtime.program import Program
 
 
@@ -200,3 +207,131 @@ class DictVectorClock:
     def __repr__(self) -> str:
         inner = ", ".join(f"T{t}:{c}" for t, c in self.items())
         return f"DictVC({inner})"
+
+
+def _stable_value(value: Any, depth: int = 0) -> Any:
+    """A hashable, identity-free stand-in for one generator local.
+
+    Anything we cannot represent faithfully returns ``_UNSTABLE``: the
+    detector then treats the whole step as unique (sound — it can only
+    *miss* livelocks, never invent one).
+    """
+    if isinstance(value, _STABLE_SCALARS):
+        return value
+    if depth >= 5:
+        return _UNSTABLE
+    if isinstance(value, ThreadHandle):
+        return ("th", value.tid, value.finished)
+    if isinstance(value, ThreadContext):
+        return ("ctx", value.tid)
+    if isinstance(value, SharedObject):
+        # Shared-object *contents* are covered by store_version (every
+        # mutation bumps it); the local just names the object.
+        return ("obj", value.name)
+    if isinstance(value, tuple):
+        return _stable_seq("t", value, depth)
+    if isinstance(value, list):
+        return _stable_seq("l", value, depth)
+    if isinstance(value, dict):
+        if len(value) > 64:
+            return _UNSTABLE
+        out: List[Any] = ["d"]
+        try:
+            items = sorted(value.items())
+        except TypeError:
+            return _UNSTABLE
+        for k, v in items:
+            sv = _stable_value(v, depth + 1)
+            if sv is _UNSTABLE:
+                return _UNSTABLE
+            out.append((k, sv))
+        return tuple(out)
+    gen_frame = getattr(value, "gi_frame", None)
+    if gen_frame is not None:
+        # A nested generator (``yield from`` delegation): fingerprint its
+        # frame position and locals recursively.
+        return _frame_digest(gen_frame, depth + 1)
+    attrs = getattr(value, "__dict__", None)
+    if attrs is not None:
+        # Shared-state namespaces (SimpleNamespace, ad-hoc classes): recurse
+        # so *untracked* plain-Python mutations (a growing list, a counter
+        # attribute) still change the fingerprint — a loop whose exit
+        # condition reads such state can never be mistaken for a lasso.
+        inner = _stable_value(dict(attrs), depth + 1)
+        if inner is _UNSTABLE:
+            return _UNSTABLE
+        return ("ns", type(value).__name__, inner)
+    return _UNSTABLE
+
+
+def _stable_seq(tag: str, seq, depth: int):
+    if len(seq) > 64:
+        return _UNSTABLE
+    out = [tag]
+    for item in seq:
+        sv = _stable_value(item, depth + 1)
+        if sv is _UNSTABLE:
+            return _UNSTABLE
+        out.append(sv)
+    return tuple(out)
+
+
+def _frame_digest(frame, depth: int = 0) -> Any:
+    if frame is None:
+        return ("done",)
+    items: List[Any] = [frame.f_lasti]
+    for name, value in sorted(frame.f_locals.items()):
+        sv = _stable_value(value, depth)
+        if sv is _UNSTABLE:
+            return _UNSTABLE
+        items.append((name, sv))
+    return tuple(items)
+
+
+def state_fingerprint(kernel, enabled: Tuple[int, ...]) -> Optional[Any]:
+    """A hashable identity for the *full* execution state, or ``None``.
+
+    Unlike :meth:`LassoDetector._fingerprint` (which brackets a single run
+    and can lean on the monotonic ``store_version``), this digest must be
+    comparable across *different* executions of the same program, so it
+    hashes the actual contents of every named shared object, every live
+    thread's status/poised-op/frame, and the results of finished threads
+    (a joiner may still read them).  Plain-Python shared state (lists,
+    namespaces) is covered by the frame digests — the shared namespace is
+    a local of every thread body.  ``None`` means "cannot be stably
+    fingerprinted"; callers must treat such states as unique.
+    """
+    from repro.engine.state import ThreadStatus
+
+    shared: List[Any] = []
+    for obj in kernel.naming.objects:
+        sv = _stable_value(_object_state(obj), 1)
+        if sv is _UNSTABLE:
+            return None
+        shared.append((obj.name, sv))
+    parts: List[Any] = [tuple(shared), enabled]
+    for ts in kernel.threads:
+        if ts.status is ThreadStatus.FINISHED:
+            handle = getattr(ts, "handle", None)
+            result = getattr(handle, "result", None) if handle is not None else None
+            sv = _stable_value(result, 1)
+            if sv is _UNSTABLE:
+                return None
+            parts.append(("fin", ts.tid, sv))
+            continue
+        op = ts.pending
+        if op is not None:
+            op_key = (op.kind, op.site, getattr(op.target, "name", None))
+        elif ts.wait_obj is not None:
+            op_key = (
+                "wait",
+                getattr(ts.wait_obj, "name", None),
+                getattr(ts.wait_data, "name", None),
+            )
+        else:
+            return None
+        digest = _frame_digest(ts.gen.gi_frame)
+        if digest is _UNSTABLE:
+            return None
+        parts.append((ts.tid, int(ts.status), op_key, digest))
+    return tuple(parts)

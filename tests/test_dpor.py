@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import DFSExplorer
+from repro.core import Budget, DFSExplorer
 from repro.core import dpor as dpor_module
 from repro.core.dpor import (
     DPORExplorer,
@@ -16,11 +16,18 @@ from repro.core.dpor import (
     dependent,
     never_co_enabled,
 )
-from repro.engine import ExecutionObserver, ReplayStrategy, execute, sync_only_filter
+from repro.engine import (
+    ExecutionObserver,
+    Outcome,
+    ReplayStrategy,
+    execute,
+    sync_only_filter,
+)
 from repro.racedetect import detect_races
 from repro.runtime import CondVar, Mutex, Program, SharedArray, SharedVar
 from repro.runtime.context import ThreadContext
-from repro.sctbench.fixed import FIXED_TWINS
+from repro.engine.hardening import LASSO_WINDOW, LassoDetector
+from repro.sctbench.fixed import FIXED_TWINS, make_wsq_fixed
 
 from .programs import (
     figure1,
@@ -537,12 +544,36 @@ class TestSoundnessProperty:
 class FromScratchDPOR(DPORExplorer):
     """Test oracle: every execution forgets every point's step and
     re-analyses the whole path, where the production explorer keeps the
-    prefix below the point the backtrack step changed."""
+    prefix below the point the backtrack step changed (and replays it
+    without ``choose``).  The race walk and the state cache's prefix
+    check scan every earlier step, where the production explorer visits
+    only the key index's lists."""
 
     def _begin_run(self):
         for point in self._stack:
             point.reset_run_state()
-        super()._begin_run()
+        return super()._begin_run()
+
+    def _sharing_steps(self, j, keys):
+        stack = self._stack
+        return [
+            i for i in range(j - 1, -1, -1) if not keys.isdisjoint(stack[i].keys)
+        ]
+
+    def _prefix_conflicts(self, cached):
+        creads, cwrites = cached
+        if not creads and not cwrites:
+            return False
+        call = creads | cwrites
+        for prev in self._stack:
+            if prev.op is not None and not (
+                prev.writes.isdisjoint(call)
+                and prev.op_writes.isdisjoint(call)
+                and prev.reads.isdisjoint(cwrites)
+                and prev.op_reads.isdisjoint(cwrites)
+            ):
+                return True
+        return False
 
 
 #: The searches compared, each built from the DPOR class in effect.
@@ -590,13 +621,68 @@ def exploration_record(dpor_cls, search, program, limit, **kw):
         "executions": stats.executions,
         "explorers": [
             (
-                [None if r is None else r.schedule for r in e._run_log],
+                [
+                    None if r is None else (r.schedule, r.choice_points, r.max_enabled)
+                    for r in e._run_log
+                ],
                 e.state_cache_hits,
                 e.frontier_sink,
             )
             for e in explorers
         ],
     }
+
+
+#: Execution ceilings that end a search early: the run after the last one
+#: allowed is stopped before its first step.
+EXECUTION_CEILINGS = (1, 2, 3, 5, 8, 13, 21)
+
+
+def assert_budgeted_runs_match(program, filt, ceilings, make_budget, **kw):
+    """Under a fresh ``make_budget(ceiling)`` per search, the incremental
+    search decides what the from-scratch oracle decides, run by run."""
+    for ceiling in ceilings:
+        for search in ORACLE_SEARCHES:
+            incremental, from_scratch = (
+                exploration_record(
+                    dpor_cls,
+                    search,
+                    program,
+                    100,
+                    visible_filter=filt,
+                    budget=make_budget(ceiling),
+                    **kw,
+                )
+                for dpor_cls in (DPORExplorer, FromScratchDPOR)
+            )
+            assert incremental == from_scratch, ceiling
+
+
+def stops_inside_replayed_prefix(program, filt, budget) -> bool:
+    """Whether ``budget`` stops a serial DPOR search's last run after its
+    first step but inside the prefix it replays without ``choose``."""
+    replayed = []
+
+    class Probe(DPORExplorer):
+        def _begin_run(self):
+            replayed.append(super()._begin_run())
+            return replayed[-1]
+
+    explorer = Probe(visible_filter=filt, budget=budget)
+    explorer._run_log = []
+    explorer.explore(program, 100)
+    last = explorer._run_log[-1]
+    return (
+        last is not None
+        and last.outcome is Outcome.TIMEOUT
+        and 0 < last.steps < replayed[-1]
+    )
+
+
+#: Step ceilings for :data:`STEP_CEILING_SUBJECT`, several of which land
+#: inside a run's replayed prefix.
+STEP_CEILINGS = range(20, 400, 9)
+STEP_CEILING_SUBJECT = FIXED_TWINS[0]
 
 
 class TestIncrementalAnalysis:
@@ -620,3 +706,49 @@ class TestIncrementalAnalysis:
                 FromScratchDPOR, search, program, 100, visible_filter=filt
             )
             assert incremental == from_scratch
+
+    @given(subject=oracle_subject_st)
+    @with_twin_examples
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_execution_ceiling_matches_from_scratch(self, subject):
+        """A search an execution ceiling ends stops its last run before
+        the run's first step: that run re-seeds no width stats from the
+        prefix it never replayed."""
+        program, filt = oracle_program(subject)
+        assert_budgeted_runs_match(
+            program, filt, EXECUTION_CEILINGS, lambda c: Budget(max_executions=c)
+        )
+
+    def test_lasso_detector_sees_every_window_step(self):
+        """The replayed prefix stops where the lasso detector starts
+        watching, so the detector observes the steps it observes when
+        every step is chosen: no livelock verdict depends on the replay."""
+        program = make_wsq_fixed()  # traces of up to 62 steps
+        observed = {}
+        original = LassoDetector.observe
+        for dpor_cls in (DPORExplorer, FromScratchDPOR):
+            steps = observed[dpor_cls] = []
+
+            def observe(detector, kernel, enabled, steps=steps):
+                steps.append(kernel.steps)
+                return original(detector, kernel, enabled)
+
+            with mock.patch.object(LassoDetector, "observe", observe):
+                dpor_cls(max_steps=LASSO_WINDOW + 40).explore(program, 100)
+        assert observed[DPORExplorer] == observed[FromScratchDPOR] != []
+
+    def test_step_ceiling_inside_the_replayed_prefix(self):
+        """A step ceiling can stop a run inside its replayed prefix: only
+        the replayed steps it took count towards its width stats."""
+        program, filt = oracle_program(STEP_CEILING_SUBJECT)
+        assert any(
+            stops_inside_replayed_prefix(program, filt, Budget(max_total_steps=c))
+            for c in STEP_CEILINGS
+        )
+        assert_budgeted_runs_match(
+            program, filt, STEP_CEILINGS, lambda c: Budget(max_total_steps=c)
+        )

@@ -25,6 +25,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.core import Budget
 from repro.core.dpor import DPORExplorer, IterativeBPORExplorer
 
 from .oracles import RestartIBPOR
@@ -37,8 +38,12 @@ from .programs import (
     unsafe_counter,
 )
 from .test_dpor import (
+    EXECUTION_CEILINGS,
     ORACLE_SEARCHES,
+    STEP_CEILING_SUBJECT,
+    STEP_CEILINGS,
     FromScratchDPOR,
+    assert_budgeted_runs_match,
     build_rich_program,
     exploration_record,
     oracle_program,
@@ -126,6 +131,27 @@ def test_sharded_incremental_matches_from_scratch(subject):
             FromScratchDPOR, search, program, 100, visible_filter=filt, shards=2
         )
         assert incremental == from_scratch
+
+
+@given(subject=oracle_subject_st)
+@with_twin_examples
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_sharded_execution_ceiling_matches_from_scratch(subject):
+    program, filt = oracle_program(subject)
+    assert_budgeted_runs_match(
+        program, filt, EXECUTION_CEILINGS, lambda c: Budget(max_executions=c), shards=2
+    )
+
+
+def test_sharded_step_ceiling_matches_from_scratch():
+    program, filt = oracle_program(STEP_CEILING_SUBJECT)
+    assert_budgeted_runs_match(
+        program, filt, STEP_CEILINGS, lambda c: Budget(max_total_steps=c), shards=2
+    )
 
 
 # ---------------------------------------------------------------------------
