@@ -501,6 +501,8 @@ class _DPORStrategy(SchedulerStrategy):
             if point.tid is not None:
                 # Replaying a step an earlier execution recorded and
                 # analysed: replay is deterministic, so keep all of it.
+                # (Only kept steps the lasso detector watches get here;
+                # earlier ones take the executor's fast path.)
                 self._current = None
                 return tid
         else:

@@ -23,11 +23,11 @@ from repro.engine import (
     execute,
     sync_only_filter,
 )
+from repro.engine.hardening import LASSO_WINDOW, LassoDetector
 from repro.racedetect import detect_races
 from repro.runtime import CondVar, Mutex, Program, SharedArray, SharedVar
 from repro.runtime.context import ThreadContext
-from repro.engine.hardening import LASSO_WINDOW, LassoDetector
-from repro.sctbench.fixed import FIXED_TWINS, make_wsq_fixed
+from repro.sctbench.fixed import FIXED_TWINS, make_account_fixed, make_wsq_fixed
 
 from .programs import (
     figure1,
@@ -682,7 +682,7 @@ def stops_inside_replayed_prefix(program, filt, budget) -> bool:
 #: Step ceilings for :data:`STEP_CEILING_SUBJECT`, several of which land
 #: inside a run's replayed prefix.
 STEP_CEILINGS = range(20, 400, 9)
-STEP_CEILING_SUBJECT = FIXED_TWINS[0]
+STEP_CEILING_SUBJECT = make_account_fixed
 
 
 class TestIncrementalAnalysis:
