@@ -137,6 +137,9 @@ def lasso_watch_from(max_steps: int) -> int:
 _UNSTABLE = object()
 
 _STABLE_SCALARS = (int, float, bool, str, bytes, type(None))
+#: Values nested this deep, and containers holding more items, are unstable.
+_DEPTH_CAP = 5
+_ITEM_CAP = 64
 
 # How :func:`_stable_value` represents a value depends only on its type, so
 # each type is classified once: the first entry of ``_KIND_CLASSES`` it
@@ -153,7 +156,8 @@ _KIND_CLASSES = (
     (_LIST, list),
     (_DICT, dict),
 )
-#: Type -> kind, filled on each type's first sight.
+#: Type -> kind, filled on each type's first sight.  A pure function of
+#: the type, so every caller in the process may share it.
 _KINDS: Dict[type, int] = {}
 
 
@@ -172,8 +176,7 @@ def _stable_value(value: Any, depth: int = 0) -> Any:
 
     Anything we cannot represent faithfully returns ``_UNSTABLE``: the
     detector then treats the whole step as unique (sound — it can only
-    *miss* livelocks, never invent one).  Containers nest at most five
-    deep and hold at most 64 items.
+    *miss* livelocks, never invent one).
     """
     cls = type(value)
     kind = _KINDS.get(cls)
@@ -181,7 +184,7 @@ def _stable_value(value: Any, depth: int = 0) -> Any:
         kind = _classify(cls)
     if kind == _SCALAR:
         return value
-    if depth >= 5:
+    if depth >= _DEPTH_CAP:
         return _UNSTABLE
     if kind == _SHARED:
         # Shared-object *contents* are covered by store_version (every
@@ -217,20 +220,21 @@ def _stable_value(value: Any, depth: int = 0) -> Any:
 
 # The loops below inline :func:`_stable_value`'s two leaf cases, by far
 # the most common items: a scalar stands for itself at any depth, a shared
-# object for its name below the depth cap.
+# object for its name below the depth cap (``named``).
 
 
 def _stable_seq(tag: str, seq, depth: int):
-    if len(seq) > 64:
+    if len(seq) > _ITEM_CAP:
         return _UNSTABLE
     out = [tag]
     depth += 1
+    named = depth < _DEPTH_CAP
     kinds = _KINDS
     for item in seq:
         kind = kinds.get(type(item))
         if kind == _SCALAR:
             out.append(item)
-        elif kind == _SHARED and depth < 5:
+        elif kind == _SHARED and named:
             out.append(("obj", item.name))
         else:
             sv = _stable_value(item, depth)
@@ -241,7 +245,7 @@ def _stable_seq(tag: str, seq, depth: int):
 
 
 def _stable_dict(mapping, depth: int):
-    if len(mapping) > 64:
+    if len(mapping) > _ITEM_CAP:
         return _UNSTABLE
     out: List[Any] = ["d"]
     try:
@@ -249,12 +253,13 @@ def _stable_dict(mapping, depth: int):
     except TypeError:
         return _UNSTABLE
     depth += 1
+    named = depth < _DEPTH_CAP
     kinds = _KINDS
     for k, v in items:
         kind = kinds.get(type(v))
         if kind == _SCALAR:
             out.append((k, v))
-        elif kind == _SHARED and depth < 5:
+        elif kind == _SHARED and named:
             out.append((k, ("obj", v.name)))
         else:
             sv = _stable_value(v, depth)
@@ -274,6 +279,7 @@ def _frame_digest(frame, depth: int = 0, seen: Optional[Dict[int, Any]] = None) 
     if frame is None:
         return ("done",)
     items: List[Any] = [frame.f_lasti]
+    named = depth < _DEPTH_CAP
     kinds = _KINDS
     local_values = frame.f_locals
     # Names are distinct strings: sorting them orders the items as
@@ -284,7 +290,7 @@ def _frame_digest(frame, depth: int = 0, seen: Optional[Dict[int, Any]] = None) 
         if kind == _SCALAR:
             items.append((name, value))
             continue
-        if kind == _SHARED and depth < 5:
+        if kind == _SHARED and named:
             items.append((name, ("obj", value.name)))
             continue
         if kind == _OTHER and seen is not None:
