@@ -20,13 +20,13 @@ This is the CI ``chaos-smoke`` job; run it locally with::
 
     REPRO_ENGINE_CHECK=1 PYTHONPATH=src python scripts/chaos_smoke.py
 
-With ``--snapshots`` the systematic techniques additionally run under
-fork-based COW prefix snapshots (:mod:`repro.engine.snapshot`) with the
-fork threshold forced low, so every adversarial cell exercises holder
-forking, the woken-child containment paths, and (with
-``REPRO_ENGINE_CHECK=1``) the post-restore shared-state audit; DPOR and
-BPOR fork their branch and frontier-entry workers off the live image.  The
-iterative-bounding cells (IPB/IDB) then run on
+With ``--snapshots`` IPB/IDB/DFS additionally run under fork-based COW
+prefix snapshots (:mod:`repro.engine.snapshot`) with the fork threshold
+forced low, so every adversarial cell exercises holder forking, the
+woken-child containment paths, and (with ``REPRO_ENGINE_CHECK=1``) the
+post-restore shared-state audit; DPOR and BPOR run as in the plain leg
+(they take no snapshots).  The iterative-bounding cells (IPB/IDB) then
+run on
 :class:`~repro.engine.snapshot.SnapshotFrontierSearch`, so bound-pruned
 edges park cross-bound holders and the next bound resumes from their
 live images; the smoke fails if no cross-bound resume fires across the
@@ -90,8 +90,8 @@ EXPLORERS = {
     "DFS": lambda: DFSExplorer(max_steps=MAX_STEPS, **_SNAP),
     "Rand": lambda: RandomExplorer(seed=3, max_steps=MAX_STEPS),
     "MapleAlg": lambda: MapleAlgExplorer(seed=3, max_steps=MAX_STEPS),
-    "DPOR": lambda: DPORExplorer(max_steps=MAX_STEPS, **_SNAP),
-    "BPOR": lambda: IterativeBPORExplorer(max_steps=MAX_STEPS, **_SNAP),
+    "DPOR": lambda: DPORExplorer(max_steps=MAX_STEPS),
+    "BPOR": lambda: IterativeBPORExplorer(max_steps=MAX_STEPS),
 }
 
 

@@ -62,6 +62,9 @@ class _PathNode:
 
     __slots__ = ("parent", "order_pos", "tid")
 
+    #: Only edges carry a materialized path (see PrunedEdge._materialize).
+    _schedule = None
+
     def __init__(self, parent, order_pos: int, tid: int) -> None:
         self.parent = parent
         self.order_pos = order_pos
@@ -127,6 +130,27 @@ class _ChoicePoint:
     def has_untried(self) -> bool:
         return self.idx + 1 < len(self.candidates)
 
+    def edges(self, first: int) -> List["PrunedEdge"]:
+        """The candidates from index ``first`` on as resumable edges —
+        O(1) each: they share the immutable prefix chain."""
+        return [
+            PrunedEdge(
+                self.parent_link,
+                self.order_positions[j],
+                self.candidates[j],
+                self.cost_before + self.increments[j],
+                self.cp_after,
+                self.maxen_after,
+            )
+            for j in range(first, len(self.candidates))
+        ]
+
+    def truncate(self) -> None:
+        """Drop every candidate after the current one."""
+        del self.candidates[self.idx + 1:]
+        del self.increments[self.idx + 1:]
+        del self.order_positions[self.idx + 1:]
+
 
 class PrunedEdge:
     """A candidate the bound cut off, with everything needed to resume
@@ -187,6 +211,12 @@ class PrunedEdge:
         sched: List[int] = []
         node = self
         while node is not None:
+            if node._schedule is not None:
+                # A materialized ancestor (a root rebuilt from a payload):
+                # its path is the rest of the prefix.
+                path.extend(reversed(node._order_path))
+                sched.extend(reversed(node._schedule))
+                break
             path.append(node.order_pos)
             sched.append(node.tid)
             node = node.parent
@@ -229,24 +259,23 @@ class PrunedEdge:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PrunedEdge":
-        """Rebuild an edge — including a faithful :class:`_PathNode` chain
-        for the prefix, so edges recorded *beneath* the rebuilt root (worker
-        frontier edges, chunk-split leftovers) materialize their full
-        absolute ``schedule``/``order_path`` exactly as the originals would.
-        """
+        """Rebuild an edge with its path already materialized, so edges
+        recorded *beneath* the rebuilt root (worker frontier edges,
+        chunk-split leftovers) materialize their full absolute
+        ``schedule``/``order_path`` exactly as the originals would, without
+        rebuilding a node per prefix step."""
         sched = payload["schedule"]
         path = payload["order_path"]
-        parent = None
-        for i in range(len(sched) - 1):
-            parent = _PathNode(parent, path[i], sched[i])
         edge = cls(
-            parent,
+            None,
             path[-1],
             sched[-1],
             payload["cost_after"],
             payload["cp"],
             payload["maxen"],
         )
+        edge._order_path = tuple(path)
+        edge._schedule = list(sched)
         handle = payload.get("holder")
         if handle is not None:
             edge.holder = (handle[0], handle[1])
@@ -256,6 +285,20 @@ class PrunedEdge:
         return (
             f"PrunedEdge(len={len(self.schedule)}, cost={self.cost_after})"
         )
+
+
+def unlock(
+    frontier: List[PrunedEdge], bound: int
+) -> Tuple[List[PrunedEdge], List[PrunedEdge]]:
+    """``(unlocked, locked)``: the frontier edges ``bound`` affords, in
+    DFS order, and the rest.  ``order_path`` is bound-independent and
+    resumed subtrees are disjoint, so sorting their roots enumerates
+    schedules exactly as a restart pass would encounter the new ones."""
+    unlocked = [e for e in frontier if e.cost_after <= bound]
+    if unlocked:
+        frontier = [e for e in frontier if e.cost_after > bound]
+        unlocked.sort(key=lambda e: e.order_path)
+    return unlocked, frontier
 
 
 class RunRecord:
@@ -353,12 +396,12 @@ class _DFSStrategy(SchedulerStrategy):
         increments: List[int] = []
         positions: List[int] = []
         pruned_here: Optional[List[PrunedEdge]] = None
-        prune_hook = dfs._prune_hook
+        prune_hook = dfs.prune_hook
         for pos, tid in enumerate(ordered):
             inc = all_increments[pos]
             if bound is not None and cost_before + inc > bound:
                 dfs._pruned_this_run = True
-                frontier = dfs._frontier
+                frontier = dfs.frontier
                 if frontier is not None:
                     edge = PrunedEdge(
                         parent_link,
@@ -404,7 +447,7 @@ class _DFSStrategy(SchedulerStrategy):
                 parent_link,
             )
         )
-        hook = dfs._fork_hook
+        hook = dfs.fork_hook
         if hook is not None and len(candidates) > 1:
             # Snapshot capture (engine/snapshot.py): if the point is deep
             # enough, the current process forks one parked holder owning
@@ -476,13 +519,14 @@ class BoundedDFS:
         self._stack: List[_ChoicePoint] = []
         self._pruned_this_run = False
         self._exhausted = False
-        self._frontier = frontier
+        #: The pruned-edge sink (see ``frontier`` above), or ``None``.
+        self.frontier = frontier
         #: Optional snapshot-capture hook ``(choice_point, step_index,
         #: kernel) -> None``, armed by engine/snapshot.py while its runner
         #: drives this search (in the parent and in every forked holder);
         #: called right after a *new* multi-candidate choice point is
         #: pushed, on any run.
-        self._fork_hook = None
+        self.fork_hook = None
         #: Optional cross-bound snapshot hook ``(pruned_edges, step_index,
         #: kernel) -> Optional[int]``, armed by engine/snapshot.py when a
         #: frontier sink is active: called with every edge the bound just
@@ -491,10 +535,13 @@ class BoundedDFS:
         #: and returns ``None``; in a freshly woken holder child it
         #: re-roots this search at the resumed edge and returns that
         #: edge's tid (the step the strategy must now execute).
-        self._prune_hook = None
+        self.prune_hook = None
         #: Width-stat re-seed base of the in-flight run (set per run).
         self._reseed = (0, 0)
         self._order_cache: OrderCache = order_cache if order_cache is not None else {}
+        self._set_root(root)
+
+    def _set_root(self, root: Optional[PrunedEdge]) -> None:
         if root is not None:
             self._root_schedule = list(root.schedule)
             self._root_node = root
@@ -595,21 +642,60 @@ class BoundedDFS:
         stack = self._stack
         for depth in range(len(stack) - 1, -1, -1):
             cp = stack[depth]
-            first = cp.idx if depth == len(stack) - 1 else cp.idx + 1
-            for j in range(first, len(cp.candidates)):
-                edges.append(
-                    PrunedEdge(
-                        cp.parent_link,
-                        cp.order_positions[j],
-                        cp.candidates[j],
-                        cp.cost_before + cp.increments[j],
-                        cp.cp_after,
-                        cp.maxen_after,
-                    )
-                )
+            edges.extend(
+                cp.edges(cp.idx if depth == len(stack) - 1 else cp.idx + 1)
+            )
         self._stack = []
         self._exhausted = True
         return edges
+
+    # -- snapshot holders (engine/snapshot.py) ------------------------------
+
+    @property
+    def depth(self) -> int:
+        """Choice points on the current path (the next run's stack)."""
+        return len(self._stack)
+
+    def detach_untried(self, cp: _ChoicePoint) -> List[PrunedEdge]:
+        """Hand ``cp``'s untried candidates to a forked holder as edges;
+        this search keeps only the current one."""
+        edges = cp.edges(cp.idx + 1)
+        cp.truncate()
+        return edges
+
+    def resume_sibling(self, cp: _ChoicePoint) -> None:
+        """In a woken holder, which owns ``cp``'s untried candidates (the
+        newest point): drop the forking process's candidate, select the
+        first sibling, and leave every shallower point's untried
+        candidates to the forking process.
+
+        The inherited per-run pruning flag belongs to the forking
+        process's run (pruning before the fork point); a serial sibling
+        run starts clear and never re-observes prefix pruning during
+        replay, so only pruning below the fork counts here."""
+        self._pruned_this_run = False
+        del cp.candidates[0]
+        del cp.increments[0]
+        del cp.order_positions[0]
+        cp.idx = 0
+        cp.link = _PathNode(cp.parent_link, cp.order_positions[0],
+                            cp.candidates[0])
+        for point in self._stack[:-1]:
+            point.truncate()
+
+    def reroot(self, edge: PrunedEdge, bound: int) -> None:
+        """In a woken cross-bound holder: make ``edge`` this search's root
+        at ``bound``.  The run in flight has executed ``edge.schedule``
+        minus its final entry, and that entry runs next as the new root's
+        last step.  Its width-stat re-seed base was fixed before the run
+        started (:attr:`_reseed`) and covers the shared prefix exactly,
+        so only tree state changes."""
+        self.bound = bound
+        self._set_root(edge)
+        self._stack = []
+        self._exhausted = False
+        self._pruned_this_run = False
+        self.frontier = []
 
     def _backtrack(self) -> Optional[int]:
         """Advance the deepest choice point with an untried candidate.

@@ -77,7 +77,7 @@ from typing import (
 )
 
 from ..engine.executor import DEFAULT_MAX_STEPS, execute
-from ..engine.hardening import lasso_watch_from, state_fingerprint
+from ..engine.hardening import state_fingerprint
 from ..engine.state import Kernel, VisibleFilter
 from ..engine.strategies import SchedulerStrategy, round_robin_choice
 from ..racedetect.vectorclock import VectorClock
@@ -501,8 +501,7 @@ class _DPORStrategy(SchedulerStrategy):
             if point.tid is not None:
                 # Replaying a step an earlier execution recorded and
                 # analysed: replay is deterministic, so keep all of it.
-                # (Only kept steps the lasso detector watches get here;
-                # earlier ones take the executor's fast path.)
+                # (Kept steps normally take the executor's fast path.)
                 self._current = None
                 return tid
         else:
@@ -610,7 +609,6 @@ class DPORExplorer(Explorer):
         shards: int = 1,
         program_source: Any = None,
         budget: Any = None,
-        snapshots: bool = False,
     ) -> None:
         self.visible_filter = visible_filter
         if budget is not None:
@@ -635,11 +633,6 @@ class DPORExplorer(Explorer):
         self.root_payload = root_payload
         self.shards = shards
         self.program_source = program_source
-        #: Opt-in fork dispatch for the branch farm (engine/snapshot.py):
-        #: branch workers fork off the live process image instead of
-        #: re-importing a picklable source, so the root prefix and program
-        #: setup transfer by COW.  Falls back to pool/inline without fork.
-        self.snapshots = snapshots
         #: State-cache prunes taken (diagnostic; not part of stats).
         self.state_cache_hits = 0
         self._use_state_cache = state_cache and preemption_bound is None
@@ -803,7 +796,7 @@ class DPORExplorer(Explorer):
     # -- exploration ----------------------------------------------------------
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
-        if (self.shards > 1 or self.snapshots) and self.root_payload is None:
+        if self.shards > 1 and self.root_payload is None:
             from .sharding import explore_sharded_dpor
 
             return explore_sharded_dpor(self, program, limit)
@@ -877,12 +870,11 @@ class DPORExplorer(Explorer):
         the next execution takes it through the executor's
         ``record_from_step`` fast path, which skips the width stats too:
         ``_kept_widths`` records them cumulatively for the caller to
-        re-seed.  The fast path stops where the lasso detector starts
-        watching, so the detector still sees every state it would."""
+        re-seed.  (The executor still feeds replayed steps inside the
+        lasso window to the detector.)"""
         thread_clock: Dict[int, VectorClock] = {}
         widths = [(0, 0)]
         choice_points = max_enabled = 0
-        watch_from = lasso_watch_from(self.max_steps)
         kept = 0
         for point in self._stack:
             if point.tid is None:
@@ -890,13 +882,12 @@ class DPORExplorer(Explorer):
             if point.clock is not None:
                 thread_clock[point.tid] = point.clock
             kept += 1
-            if kept <= watch_from:
-                width = len(point.enabled)
-                if width > 1:
-                    choice_points += 1
-                if width > max_enabled:
-                    max_enabled = width
-                widths.append((choice_points, max_enabled))
+            width = len(point.enabled)
+            if width > 1:
+                choice_points += 1
+            if width > max_enabled:
+                max_enabled = width
+            widths.append((choice_points, max_enabled))
         self._thread_clock = thread_clock
         self._kept_widths = widths
         for steps in self._key_index.values():
@@ -1088,7 +1079,6 @@ class IterativeBPORExplorer(Explorer):
         shards: int = 1,
         program_source: Any = None,
         budget: Any = None,
-        snapshots: bool = False,
     ) -> None:
         self.visible_filter = visible_filter
         if budget is not None:
@@ -1097,9 +1087,6 @@ class IterativeBPORExplorer(Explorer):
         self.max_bound = max_bound
         self.shards = shards
         self.program_source = program_source
-        #: Fork-dispatch the per-bound entry farm off the live image (see
-        #: :class:`DPORExplorer.snapshots`).
-        self.snapshots = snapshots
 
     def _inner(
         self,
@@ -1135,7 +1122,7 @@ class IterativeBPORExplorer(Explorer):
         return False
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
-        if self.shards > 1 or self.snapshots:
+        if self.shards > 1:
             from .sharding import explore_sharded_ibpor
 
             return explore_sharded_ibpor(self, program, limit)

@@ -37,10 +37,11 @@ from typing import Iterator, List, Optional
 from ..engine.executor import DEFAULT_MAX_STEPS
 from ..engine.state import VisibleFilter
 from ..runtime.program import Program
-from .bounds import DELAY, PREEMPTION, BoundCost, NoBoundCost
+from .bounds import DELAY, NO_BOUND, PREEMPTION, BoundCost
 from .budget import Budget
-from .dfs import BoundedDFS, OrderCache, PrunedEdge, RunRecord
+from .dfs import PrunedEdge, RunRecord, unlock
 from .explorer import BugReport, EngineCounters, ExplorationStats, Explorer
+from .sharding import ShardedDFS, ShardedFrontierSearch, SubtreeSpec
 
 
 class FrontierSearch:
@@ -71,48 +72,28 @@ class FrontierSearch:
         visible_filter: Optional[VisibleFilter] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         spurious_wakeups: int = 0,
-        fast_replay: bool = True,
         budget: Optional[Budget] = None,
     ) -> None:
-        self.program = program
-        self.cost_model = cost_model
-        self.visible_filter = visible_filter
-        self.max_steps = max_steps
-        self.spurious_wakeups = spurious_wakeups
-        self.fast_replay = fast_replay
-        self.budget = budget
-        self._order_cache: OrderCache = {}
+        self.spec = SubtreeSpec(
+            program,
+            cost_model,
+            visible_filter=visible_filter,
+            max_steps=max_steps,
+            spurious_wakeups=spurious_wakeups,
+            budget=budget,
+        )
         self._frontier: List[PrunedEdge] = []
         self._started = False
 
-    def _subtree(self, bound: int, root: Optional[PrunedEdge]) -> BoundedDFS:
-        return BoundedDFS(
-            self.program,
-            self.cost_model,
-            bound,
-            visible_filter=self.visible_filter,
-            max_steps=self.max_steps,
-            spurious_wakeups=self.spurious_wakeups,
-            root=root,
-            frontier=self._frontier,
-            order_cache=self._order_cache,
-            fast_replay=self.fast_replay,
-            budget=self.budget,
-        )
+    def _subtree(self, bound: int, root: Optional[PrunedEdge]):
+        return self.spec.search(bound, root, self._frontier)
 
     def runs_at_bound(self, bound: int) -> Iterator[RunRecord]:
         if not self._started:
             self._started = True
             yield from self._subtree(bound, None).runs()
             return
-        unlocked = [e for e in self._frontier if e.cost_after <= bound]
-        if not unlocked:
-            return
-        self._frontier = [e for e in self._frontier if e.cost_after > bound]
-        # Bound-independent DFS order: resumed subtrees are disjoint, so
-        # sorting their roots enumerates schedules exactly as a restart
-        # pass would encounter the new ones.
-        unlocked.sort(key=lambda e: e.order_path)
+        unlocked, self._frontier = unlock(self._frontier, bound)
         for entry in unlocked:
             yield from self._subtree(bound, entry).runs()
 
@@ -122,6 +103,42 @@ class FrontierSearch:
     def close(self) -> None:
         """Uniform backend cleanup hook (the snapshot subclass kills its
         cross-bound holders here)."""
+
+
+def _backend(explorer, program: Program, cost_model: BoundCost):
+    """The search an explorer drains — sharded (``shards > 1``), fork
+    snapshots (``snapshots`` where ``os.fork`` exists) or in-process; all
+    enumerate the same records in the same order.  ``NO_BOUND`` asks for
+    the unbounded DFS run stream, any other cost model for the per-bound
+    frontier search."""
+    unbounded = cost_model is NO_BOUND
+    opts = dict(
+        visible_filter=explorer.visible_filter,
+        max_steps=explorer.max_steps,
+        spurious_wakeups=explorer.spurious_wakeups,
+        budget=explorer.budget,
+    )
+    if explorer.shards > 1:
+        opts.update(
+            shards=explorer.shards,
+            program_source=explorer.program_source,
+            snapshots=explorer.snapshots,
+        )
+        if unbounded:
+            return ShardedDFS(program, **opts)
+        return ShardedFrontierSearch(program, cost_model, **opts)
+    if explorer.snapshots:
+        from ..engine import snapshot as snapshot_mod
+
+        if snapshot_mod.fork_available():
+            if unbounded:
+                return snapshot_mod.snapshot_dfs(program, **opts)
+            return snapshot_mod.SnapshotFrontierSearch(
+                program, cost_model, **opts
+            )
+    if unbounded:
+        return SubtreeSpec(program, cost_model, **opts).search(None)
+    return FrontierSearch(program, cost_model, **opts)
 
 
 class DFSExplorer(Explorer):
@@ -140,9 +157,7 @@ class DFSExplorer(Explorer):
         budget: Optional[Budget] = None,
         shards: int = 1,
         program_source=None,
-        split_runs: Optional[int] = None,
         snapshots: bool = False,
-        snapshot_procs: Optional[int] = None,
     ) -> None:
         self.visible_filter = visible_filter
         self.max_steps = max_steps
@@ -157,64 +172,21 @@ class DFSExplorer(Explorer):
         #: Picklable program source for pool workers; ``None`` runs the
         #: shard tasks in-process (same merged stream, no pool).
         self.program_source = program_source
-        #: Per-shard-task run budget before a cooperative split
-        #: (``None`` = :data:`repro.core.sharding.DEFAULT_SPLIT_RUNS`).
-        self.split_runs = split_runs
         #: Opt-in fork-based COW prefix snapshots (engine/snapshot.py):
         #: identical records in identical order, with deep shared prefixes
         #: inherited from live process images instead of replayed.  Falls
         #: back to the plain replay fast path where ``os.fork`` is
         #: unavailable.  Composes with ``shards`` (workers fork holders).
         self.snapshots = snapshots
-        #: Snapshot look-ahead width (``None`` = platform default).
-        self.snapshot_procs = snapshot_procs
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
-        if self.shards > 1:
-            from .sharding import DEFAULT_SPLIT_RUNS, ShardedDFS
-
-            dfs = ShardedDFS(
-                program,
-                shards=self.shards,
-                program_source=self.program_source,
-                split_runs=self.split_runs or DEFAULT_SPLIT_RUNS,
-                visible_filter=self.visible_filter,
-                max_steps=self.max_steps,
-                spurious_wakeups=self.spurious_wakeups,
-                budget=self.budget,
-                snapshots=self.snapshots,
-            )
-            try:
-                return self._drain(dfs, program, limit)
-            finally:
-                dfs.close()
-        if self.snapshots:
-            from ..engine import snapshot as snapshot_mod
-
-            if snapshot_mod.fork_available():
-                runner = snapshot_mod.snapshot_dfs(
-                    program,
-                    visible_filter=self.visible_filter,
-                    max_steps=self.max_steps,
-                    spurious_wakeups=self.spurious_wakeups,
-                    budget=self.budget,
-                    procs=self.snapshot_procs,
-                )
-                try:
-                    return self._drain(runner, program, limit)
-                finally:
-                    runner.close()
-        dfs = BoundedDFS(
-            program,
-            NoBoundCost(),
-            None,
-            visible_filter=self.visible_filter,
-            max_steps=self.max_steps,
-            spurious_wakeups=self.spurious_wakeups,
-            fast_replay=True,
-            budget=self.budget,
-        )
-        return self._drain(dfs, program, limit)
+        dfs = _backend(self, program, NO_BOUND)
+        try:
+            return self._drain(dfs, program, limit)
+        finally:
+            close = getattr(dfs, "close", None)
+            if close is not None:
+                close()
 
     def _drain(self, dfs, program: Program, limit: int) -> ExplorationStats:
         stats = ExplorationStats(self.technique, program.name, limit)
@@ -276,9 +248,7 @@ class IterativeBoundingExplorer(Explorer):
         budget: Optional[Budget] = None,
         shards: int = 1,
         program_source=None,
-        split_runs: Optional[int] = None,
         snapshots: bool = False,
-        snapshot_procs: Optional[int] = None,
     ) -> None:
         self.cost_model = cost_model
         self.technique = technique
@@ -292,12 +262,9 @@ class IterativeBoundingExplorer(Explorer):
         self.shards = max(1, shards)
         #: Picklable program source for pool workers; ``None`` = inline.
         self.program_source = program_source
-        #: Per-shard-task run budget before a cooperative split.
-        self.split_runs = split_runs
         #: Opt-in COW prefix snapshots (see :class:`DFSExplorer`):
         #: identical accounting, the same set and order of records.
         self.snapshots = snapshots
-        self.snapshot_procs = snapshot_procs
         #: Safety net: stop raising the bound past this (a benchmark whose
         #: space is exhausted stops earlier via the pruning signal).
         self.max_bound = max_bound
@@ -314,44 +281,7 @@ class IterativeBoundingExplorer(Explorer):
             search.close()
 
     def _search(self, program: Program):
-        """The per-bound search backend: sharded, snapshot or plain
-        frontier — all three enumerate the same records in the same order."""
-        if self.shards > 1:
-            from .sharding import DEFAULT_SPLIT_RUNS, ShardedFrontierSearch
-
-            return ShardedFrontierSearch(
-                program,
-                self.cost_model,
-                shards=self.shards,
-                program_source=self.program_source,
-                split_runs=self.split_runs or DEFAULT_SPLIT_RUNS,
-                visible_filter=self.visible_filter,
-                max_steps=self.max_steps,
-                spurious_wakeups=self.spurious_wakeups,
-                budget=self.budget,
-                snapshots=self.snapshots,
-            )
-        if self.snapshots:
-            from ..engine import snapshot as snapshot_mod
-
-            if snapshot_mod.fork_available():
-                return snapshot_mod.SnapshotFrontierSearch(
-                    program,
-                    self.cost_model,
-                    procs=self.snapshot_procs,
-                    visible_filter=self.visible_filter,
-                    max_steps=self.max_steps,
-                    spurious_wakeups=self.spurious_wakeups,
-                    budget=self.budget,
-                )
-        return FrontierSearch(
-            program,
-            self.cost_model,
-            visible_filter=self.visible_filter,
-            max_steps=self.max_steps,
-            spurious_wakeups=self.spurious_wakeups,
-            budget=self.budget,
-        )
+        return _backend(self, program, self.cost_model)
 
     def _drain(self, search, stats: ExplorationStats, limit: int) -> ExplorationStats:
         program_name = stats.program_name

@@ -61,7 +61,7 @@ from ..engine.trace import Outcome
 from ..runtime.errors import MisuseReport
 from ..runtime.program import Program
 from .bounds import DELAY, NO_BOUND, PREEMPTION, BoundCost
-from .dfs import BoundedDFS, OrderCache, PrunedEdge, RunRecord
+from .dfs import BoundedDFS, OrderCache, PrunedEdge, RunRecord, unlock
 
 #: Default per-task run budget before a worker splits its remainder.
 DEFAULT_SPLIT_RUNS = 64
@@ -258,62 +258,135 @@ class RunSummary:
 # -- worker entry points (module-level, hence picklable) --------------------
 
 
-class ShardSpec:
-    """Everything a subtree worker needs besides the descriptor itself."""
+class SubtreeSpec:
+    """Everything that builds a :class:`BoundedDFS` beneath any root except
+    the bound: the one construction site the frontier searches, shard
+    workers and snapshot holders share (searches built here always take
+    the replay fast path).
+
+    Picklable for the pool boundary: the program travels as its
+    ``program_source`` (a worker resolves it once, :func:`_subtree_worker`)
+    and the cost model by name; the order cache stays home.
+    ``snapshots`` makes :func:`_subtree_worker` wrap each subtree in a COW
+    snapshot runner (``engine/snapshot.py``) — shard workers are natural
+    fork sites, so sharding and snapshotting compose.
+    """
 
     __slots__ = (
-        "program_source",
-        "cost_name",
+        "program",
+        "cost_model",
         "visible_filter",
         "max_steps",
         "spurious_wakeups",
-        "fast_replay",
         "budget",
+        "program_source",
         "snapshots",
+        "order_cache",
     )
 
     def __init__(
         self,
-        program_source,
-        cost_name: str,
-        visible_filter,
-        max_steps: int,
-        spurious_wakeups: int,
-        fast_replay: bool,
-        budget,
+        program: Optional[Program],
+        cost_model: BoundCost,
+        *,
+        visible_filter=None,
+        max_steps: int = DEFAULT_MAX_STEPS,
+        spurious_wakeups: int = 0,
+        budget=None,
+        program_source=None,
         snapshots: bool = False,
     ) -> None:
-        self.program_source = program_source
-        self.cost_name = cost_name
+        self.program = program
+        self.cost_model = cost_model
         self.visible_filter = visible_filter
         self.max_steps = max_steps
         self.spurious_wakeups = spurious_wakeups
-        self.fast_replay = fast_replay
         self.budget = budget
-        #: Wrap each worker's subtree search in a COW snapshot runner
-        #: (``engine/snapshot.py``) — shard workers are natural fork
-        #: sites, so sharding and snapshotting compose.
+        self.program_source = program_source
         self.snapshots = snapshots
+        #: Candidate orderings, shared by every search built here (they
+        #: are pure functions of the scheduling state).
+        self.order_cache: OrderCache = {}
+
+    def search(
+        self,
+        bound: Optional[int],
+        root: Optional[PrunedEdge] = None,
+        frontier: Optional[List[PrunedEdge]] = None,
+    ) -> BoundedDFS:
+        return BoundedDFS(
+            self.program,
+            self.cost_model,
+            bound,
+            visible_filter=self.visible_filter,
+            max_steps=self.max_steps,
+            spurious_wakeups=self.spurious_wakeups,
+            root=root,
+            frontier=frontier,
+            order_cache=self.order_cache,
+            fast_replay=True,
+            budget=self.budget,
+        )
+
+    def replaying(self) -> "SubtreeSpec":
+        """This spec without snapshots (same program and order cache)."""
+        if not self.snapshots:
+            return self
+        spec = SubtreeSpec(
+            self.program,
+            self.cost_model,
+            visible_filter=self.visible_filter,
+            max_steps=self.max_steps,
+            spurious_wakeups=self.spurious_wakeups,
+            budget=self.budget,
+        )
+        spec.order_cache = self.order_cache
+        return spec
+
+    def __getstate__(self):
+        return (
+            self.program_source,
+            self.cost_model.name,
+            self.visible_filter,
+            self.max_steps,
+            self.spurious_wakeups,
+            self.budget,
+            self.snapshots,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.program_source,
+            cost_name,
+            self.visible_filter,
+            self.max_steps,
+            self.spurious_wakeups,
+            self.budget,
+            self.snapshots,
+        ) = state
+        self.program = None
+        self.cost_model = _COST_MODELS[cost_name]
+        self.order_cache = {}
 
 
 def _subtree_worker(
-    spec: ShardSpec,
+    spec: SubtreeSpec,
     bound: Optional[int],
     root_payload: dict,
     split_runs: Optional[int],
     want_frontier: bool,
-    program: Optional[Program] = None,
     cross=None,
 ):
-    """Explore one shard descriptor's subtree; the pool entry point.
+    """Explore one shard descriptor's subtree; the pool entry point (and
+    the snapshot runner's dead-holder fallback).
 
     Returns ``(runs, frontier, leftovers, exhausted)`` where ``runs`` is
     a list of ``(RunSummary, cost, pruned_any)`` in DFS order,
     ``frontier`` the payloads of every edge the bound pruned while
     exploring, ``leftovers`` the descriptors of work given back after the
     ``split_runs`` budget ran out, and ``exhausted`` whether the subtree
-    was fully enumerated.  ``program`` short-circuits source resolution
-    for inline (in-process) execution.
+    was fully enumerated.  A spec unpickled in a pool worker resolves its
+    program here.
 
     ``cross`` (inline mode only — fds don't cross the pool boundary) is
     the search's :class:`repro.engine.snapshot.CrossBoundRegistry`: if
@@ -323,16 +396,17 @@ def _subtree_worker(
     workers get ``cross=None`` and replay classically; the merged stream
     is byte-identical either way.
     """
+    snapshot_mod = None
+    if spec.snapshots or cross is not None:
+        from ..engine import snapshot as snapshot_mod
     if cross is not None:
         handle = root_payload.get("holder")
         if handle is not None:
-            from ..engine import snapshot as snapshot_mod
-
             sub = cross.resume((handle[0], handle[1]), bound)
             if sub is not None:
                 runs = [
-                    (rec.result, rec.cost, bool(rec.pruned_any))
-                    for rec in snapshot_mod._decode_batch(
+                    (rec.result, rec.cost, rec.pruned_any)
+                    for rec in snapshot_mod.decode_batch(
                         sub, root_payload["schedule"]
                     )
                 ]
@@ -340,36 +414,24 @@ def _subtree_worker(
                 # edge descriptors left to split), same as the snapshot
                 # runner's mid-batch overrun of the split budget.
                 return runs, sub["frontier"], [], sub["exhausted"]
-    if program is None:
-        program = _cached_program(spec.program_source)
+    if spec.program is None:
+        spec.program = _cached_program(spec.program_source)
     frontier: Optional[List[PrunedEdge]] = [] if want_frontier else None
-    search = BoundedDFS(
-        program,
-        _COST_MODELS[spec.cost_name],
-        bound,
-        visible_filter=spec.visible_filter,
-        max_steps=spec.max_steps,
-        spurious_wakeups=spec.spurious_wakeups,
-        root=PrunedEdge.from_payload(root_payload),
-        frontier=frontier,
-        fast_replay=spec.fast_replay,
-        budget=spec.budget,
-    )
-    runner = None
-    if spec.snapshots:
-        from ..engine import snapshot as snapshot_mod
-
-        if snapshot_mod.fork_available():
-            # The worker is single-subtree, so holders stay lazy
-            # (procs=1): pure replay elimination, no oversubscription of
-            # the pool's cores.
-            runner = snapshot_mod.SnapshotRunner(search, procs=1,
-                                                 cross=cross)
-            search = runner
+    root = PrunedEdge.from_payload(root_payload)
+    if spec.snapshots and snapshot_mod.fork_available():
+        # The worker is single-subtree, so holders stay lazy (procs=1):
+        # pure replay elimination, no oversubscription of the pool.
+        search = snapshot_mod.SnapshotRunner(
+            spec, bound, root=root, frontier=frontier, cross=cross
+        )
+    else:
+        search = spec.search(bound, root, frontier)
     runs: List[Tuple[RunSummary, int, bool]] = []
     leftovers: List[dict] = []
+    exhausted = True
+    stream = search.runs()
     try:
-        for record in search.runs():
+        for record in stream:
             result = record.result
             summary = (
                 result
@@ -380,6 +442,7 @@ def _subtree_worker(
             if summary.outcome is Outcome.TIMEOUT:
                 # Budget expired mid-subtree: the parent stops the whole
                 # exploration at this record, so the remainder is moot.
+                exhausted = False
                 break
             if (
                 split_runs is not None
@@ -394,12 +457,11 @@ def _subtree_worker(
                 leftovers = [e.to_payload() for e in search.split_remaining()]
                 break
     finally:
-        if runner is not None:
-            runner.close()
+        stream.close()
     frontier_payloads = (
         [e.to_payload() for e in frontier] if frontier else []
     )
-    return runs, frontier_payloads, leftovers, search.exhausted
+    return runs, frontier_payloads, leftovers, exhausted and search.exhausted
 
 
 def _random_shard_worker(
@@ -483,6 +545,14 @@ def _inline_future(fn: Callable, *args) -> Future:
     return fut
 
 
+def shard_pool(workers: int) -> ProcessPoolExecutor:
+    """The one shard-worker pool: ``workers`` processes that die with
+    their parent (:func:`_shard_worker_init`)."""
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_shard_worker_init
+    )
+
+
 class ShardedSearchBase:
     """Shared pool/merge machinery of the sharded searches."""
 
@@ -493,11 +563,10 @@ class ShardedSearchBase:
         *,
         shards: int,
         program_source=None,
-        split_runs: Optional[int] = DEFAULT_SPLIT_RUNS,
+        split_runs: Optional[int] = None,
         visible_filter=None,
         max_steps: int = DEFAULT_MAX_STEPS,
         spurious_wakeups: int = 0,
-        fast_replay: bool = True,
         budget=None,
         snapshots: bool = False,
     ) -> None:
@@ -509,22 +578,19 @@ class ShardedSearchBase:
                 "workers (register it in repro.core.sharding._COST_MODELS "
                 "or run unsharded)"
             )
-        self.program = program
-        self.cost_model = cost_model
         self.shards = shards
-        self.program_source = program_source
-        self.split_runs = split_runs
-        self.spec = ShardSpec(
-            program_source,
-            cost_model.name,
-            visible_filter,
-            max_steps,
-            spurious_wakeups,
-            fast_replay,
-            budget,
-            snapshots,
+        #: Per-task run budget before a worker splits its remainder.
+        self.split_runs = DEFAULT_SPLIT_RUNS if split_runs is None else split_runs
+        self.spec = SubtreeSpec(
+            program,
+            cost_model,
+            visible_filter=visible_filter,
+            max_steps=max_steps,
+            spurious_wakeups=spurious_wakeups,
+            budget=budget,
+            program_source=program_source,
+            snapshots=snapshots,
         )
-        self._order_cache: OrderCache = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Cross-bound snapshot registry (inline frontier search only);
         #: created by :class:`ShardedFrontierSearch` when snapshots are on.
@@ -535,16 +601,7 @@ class ShardedSearchBase:
         """Whether shard tasks run in-process (no picklable program
         source, or a single shard): same code path, same merged stream,
         no pool."""
-        return self.program_source is None or self.shards == 1
-
-    def _pool_or_none(self) -> Optional[ProcessPoolExecutor]:
-        if self.inline:
-            return None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.shards, initializer=_shard_worker_init
-            )
-        return self._pool
+        return self.spec.program_source is None or self.shards == 1
 
     def close(self) -> None:
         """Release the worker pool and any parked cross-bound holders
@@ -557,59 +614,58 @@ class ShardedSearchBase:
         if cross is not None:
             cross.close()
 
-    def _local_dfs(self, bound: Optional[int], frontier) -> BoundedDFS:
-        return BoundedDFS(
-            self.program,
-            self.cost_model,
-            bound,
-            visible_filter=self.spec.visible_filter,
-            max_steps=self.spec.max_steps,
-            spurious_wakeups=self.spec.spurious_wakeups,
-            frontier=frontier,
-            order_cache=self._order_cache,
-            fast_replay=self.spec.fast_replay,
-            budget=self.spec.budget,
-        )
-
     def _submit(self, bound: Optional[int], payload: dict, want_frontier: bool):
-        pool = self._pool_or_none()
-        if pool is None:
-            return _inline_future(
-                _subtree_worker,
-                self.spec,
-                bound,
-                payload,
-                self.split_runs,
-                want_frontier,
-                self.program,
-                self._cross,
-            )
-        return pool.submit(
-            _subtree_worker, self.spec, bound, payload, self.split_runs,
-            want_frontier,
-        )
+        args = (self.spec, bound, payload, self.split_runs, want_frontier)
+        if self.inline:
+            return _inline_future(_subtree_worker, *args, self._cross)
+        if self._pool is None:
+            self._pool = shard_pool(self.shards)
+        return self._pool.submit(_subtree_worker, *args)
+
+    def _split_and_drive(
+        self,
+        bound: Optional[int],
+        frontier: Optional[List[PrunedEdge]],
+        on_last: Optional[Callable[[], None]] = None,
+    ) -> Iterator[RunRecord]:
+        """Execute run #1 in-process (the shared round-robin schedule),
+        detach the rest of the tree with
+        :meth:`BoundedDFS.split_remaining` and drive the pieces."""
+        dfs = self.spec.search(bound, frontier=frontier)
+        gen = dfs.runs()
+        try:
+            first = next(gen)
+            roots = dfs.split_remaining()
+        finally:
+            gen.close()
+        if not roots and on_last is not None:
+            on_last()
+        yield first
+        if roots:
+            yield from self._drive(bound, roots, frontier is not None, on_last)
 
     def _drive(
         self,
         bound: Optional[int],
-        root_items: List[_ShardItem],
+        roots: List[PrunedEdge],
         want_frontier: bool,
-        on_frontier: Optional[Callable[[List[dict]], None]] = None,
         on_last: Optional[Callable[[], None]] = None,
     ) -> Iterator[RunRecord]:
         """Dispatch descriptors and emit their runs in exact DFS order.
 
-        ``root_items`` must already be in ascending ``order_path``
-        order (``split_remaining`` and the sorted frontier both are).
-        The head item's runs are emitted the moment its result arrives;
-        leftovers from a split are spliced *in place of* the head —
-        they are interior to its subtree, so order is preserved.
-        Out-of-order completions are buffered.  ``on_last`` fires just
-        before the final record of the final item is yielded (the sharded
-        analogue of the serial search's eager backtracking: ``exhausted``
-        is accurate at every yield).
+        ``roots`` must already be in ascending ``order_path`` order
+        (``split_remaining`` and the sorted frontier both are); they
+        become payloads here, at the pool boundary.  The head item's runs
+        are emitted the moment its result arrives; leftovers from a split
+        are spliced *in place of* the head — they are interior to its
+        subtree, so order is preserved.  Out-of-order completions are
+        buffered.  Frontier edges the workers report join
+        ``self._frontier``.  ``on_last`` fires just before the final
+        record of the final item is yielded (the sharded analogue of the
+        serial search's eager backtracking: ``exhausted`` is accurate at
+        every yield).
         """
-        items = list(root_items)
+        items = [_ShardItem(edge.to_payload()) for edge in roots]
         in_flight: dict = {}
         emit_idx = 0
         try:
@@ -635,8 +691,10 @@ class ShardedSearchBase:
                     continue
                 runs, frontier, leftovers, exhausted = head.result
                 head.result = None  # free early; emitted below
-                if frontier and on_frontier is not None:
-                    on_frontier(frontier)
+                if frontier:
+                    self._frontier.extend(
+                        PrunedEdge.from_payload(p) for p in frontier
+                    )
                 if leftovers:
                     items[emit_idx + 1 : emit_idx + 1] = [
                         _ShardItem(p) for p in leftovers
@@ -661,14 +719,13 @@ class ShardedDFS(ShardedSearchBase):
     """Sharded unbounded depth-first search (drop-in for the
     :class:`BoundedDFS` run stream inside :class:`DFSExplorer`).
 
-    Run #1 *is* the serial first run (the shared round-robin schedule),
-    executed in-process; the remainder of the tree is then detached with
-    :meth:`BoundedDFS.split_remaining` and distributed.  ``exhausted``
-    matches the serial contract: accurate at every yield.
+    Run #1 *is* the serial first run, executed in-process; the remainder
+    of the tree is then distributed.  ``exhausted`` matches the serial
+    contract: accurate at every yield.
     """
 
     def __init__(self, program: Program, **kwargs) -> None:
-        super().__init__(program, NO_BOUND, fast_replay=True, **kwargs)
+        super().__init__(program, NO_BOUND, **kwargs)
         self._exhausted = False
 
     @property
@@ -679,31 +736,7 @@ class ShardedDFS(ShardedSearchBase):
         self._exhausted = True
 
     def runs(self) -> Iterator[RunRecord]:
-        dfs = self._local_dfs(None, None)
-        gen = dfs.runs()
-        try:
-            first = next(gen, None)
-            if first is None:  # pragma: no cover - runs() always yields
-                self._exhausted = True
-                return
-            roots = (
-                []
-                if dfs.exhausted
-                else [e.to_payload() for e in dfs.split_remaining()]
-            )
-        finally:
-            gen.close()
-        if not roots:
-            self._exhausted = True
-            yield first
-            return
-        yield first
-        yield from self._drive(
-            None,
-            [_ShardItem(p) for p in roots],
-            want_frontier=False,
-            on_last=self._mark_exhausted,
-        )
+        yield from self._split_and_drive(None, None, self._mark_exhausted)
 
 
 class ShardedFrontierSearch(ShardedSearchBase):
@@ -712,17 +745,17 @@ class ShardedFrontierSearch(ShardedSearchBase):
     Same search-backend protocol as
     :class:`repro.core.iterative.FrontierSearch` (``runs_at_bound`` /
     ``pruned_at_bound`` / ``close``), same enumerated set and
-    order: at bound 0 the parent executes run #1 in-process with a
-    frontier sink and distributes the rest of the tree; at later bounds
-    the unlocked frontier payloads *are* the shard descriptors.  Workers
-    ship the edges their bound pruned back as payloads; disjoint
+    order: at bound 0 the parent executes run #1 in-process with the
+    frontier as its sink and distributes the rest of the tree; at later
+    bounds the unlocked frontier edges *are* the shard descriptors.
+    Workers ship the edges their bound pruned back as payloads; disjoint
     subtrees never duplicate an edge, so the union is exactly the serial
     frontier.
     """
 
     def __init__(self, program: Program, cost_model: BoundCost, **kwargs) -> None:
         super().__init__(program, cost_model, **kwargs)
-        self._frontier: List[dict] = []
+        self._frontier: List[PrunedEdge] = []
         self._started = False
         if self.spec.snapshots and self.inline:
             from ..engine import snapshot as snapshot_mod
@@ -734,47 +767,14 @@ class ShardedFrontierSearch(ShardedSearchBase):
                 # they keep the classic replay path.
                 self._cross = snapshot_mod.CrossBoundRegistry()
 
-    def _absorb_frontier(self, payloads: List[dict]) -> None:
-        self._frontier.extend(payloads)
-
     def runs_at_bound(self, bound: int) -> Iterator[RunRecord]:
         if not self._started:
             self._started = True
-            local_frontier: List[PrunedEdge] = []
-            dfs = self._local_dfs(bound, local_frontier)
-            gen = dfs.runs()
-            try:
-                first = next(gen, None)
-                if first is None:  # pragma: no cover - runs() always yields
-                    return
-                roots = (
-                    []
-                    if dfs.exhausted
-                    else [e.to_payload() for e in dfs.split_remaining()]
-                )
-            finally:
-                gen.close()
-            self._frontier.extend(e.to_payload() for e in local_frontier)
-            yield first
-            if roots:
-                yield from self._drive(
-                    bound,
-                    [_ShardItem(p) for p in roots],
-                    want_frontier=True,
-                    on_frontier=self._absorb_frontier,
-                )
+            yield from self._split_and_drive(bound, self._frontier)
             return
-        unlocked = [p for p in self._frontier if p["cost_after"] <= bound]
-        if not unlocked:
-            return
-        self._frontier = [p for p in self._frontier if p["cost_after"] > bound]
-        unlocked.sort(key=lambda p: tuple(p["order_path"]))
-        yield from self._drive(
-            bound,
-            [_ShardItem(p) for p in unlocked],
-            want_frontier=True,
-            on_frontier=self._absorb_frontier,
-        )
+        unlocked, self._frontier = unlock(self._frontier, bound)
+        if unlocked:
+            yield from self._drive(bound, unlocked, want_frontier=True)
 
     def pruned_at_bound(self) -> bool:
         return bool(self._frontier)
@@ -821,32 +821,18 @@ def run_sharded_random(explorer, program: Program, limit: int):
     """Sharded Rand: per-index seeds, contiguous ranges, ordered merge."""
     from .explorer import ExplorationStats
 
-    seeds = [derive_shard_seed(explorer.seed, j) for j in range(limit)]
     return _run_index_shards(
         explorer,
         program,
         limit,
-        lambda rng_seeds, prog: _random_shard_worker(
-            explorer.program_source,
-            rng_seeds,
-            explorer.visible_filter,
-            explorer.max_steps,
-            explorer.stop_at_first_bug,
-            explorer.spurious_wakeups,
-            explorer.budget,
-            program=prog,
-        ),
-        lambda rng_seeds: (
-            _random_shard_worker,
-            explorer.program_source,
-            rng_seeds,
+        _random_shard_worker,
+        (
             explorer.visible_filter,
             explorer.max_steps,
             explorer.stop_at_first_bug,
             explorer.spurious_wakeups,
             explorer.budget,
         ),
-        seeds,
         ExplorationStats(explorer.technique, program.name, limit),
     )
 
@@ -854,7 +840,6 @@ def run_sharded_random(explorer, program: Program, limit: int):
 def run_sharded_pct(explorer, program: Program, limit: int):
     """Sharded PCT: parent-side calibration (deterministic round-robin,
     identical ``k`` everywhere), then per-index seeded executions."""
-    from ..engine.executor import execute
     from ..engine.strategies import RoundRobinStrategy
     from .explorer import ExplorationStats
 
@@ -869,62 +854,45 @@ def run_sharded_pct(explorer, program: Program, limit: int):
     )
     if explorer._budget_spent(stats, calibration):
         return stats
-    k_estimate = max(1, calibration.steps)
-    seeds = [derive_shard_seed(explorer.seed, j) for j in range(limit)]
     return _run_index_shards(
         explorer,
         program,
         limit,
-        lambda rng_seeds, prog: _pct_shard_worker(
-            explorer.program_source,
-            rng_seeds,
+        _pct_shard_worker,
+        (
             explorer.depth,
-            k_estimate,
-            explorer.visible_filter,
-            explorer.max_steps,
-            explorer.stop_at_first_bug,
-            explorer.budget,
-            program=prog,
-        ),
-        lambda rng_seeds: (
-            _pct_shard_worker,
-            explorer.program_source,
-            rng_seeds,
-            explorer.depth,
-            k_estimate,
+            max(1, calibration.steps),
             explorer.visible_filter,
             explorer.max_steps,
             explorer.stop_at_first_bug,
             explorer.budget,
         ),
-        seeds,
         stats,
     )
 
 
-def _run_index_shards(
-    explorer, program, limit, inline_fn, submit_args_fn, seeds, stats
-):
-    """Common Rand/PCT fan-out: split the seed list into shard ranges,
-    run every shard (pool or inline), merge payloads in shard order."""
+def _run_index_shards(explorer, program, limit, worker, args, stats):
+    """Common Rand/PCT fan-out: split the per-index seeds into shard
+    ranges, run ``worker(source, seeds, *args)`` for every shard (pool or
+    inline), merge payloads in shard order."""
     shards = explorer.shards
     ranges = split_indices(limit, shards)
     if not ranges:
         return stats
-    use_pool = explorer.program_source is not None and shards > 1
-    if not use_pool:
+    seeds = [derive_shard_seed(explorer.seed, j) for j in range(limit)]
+    source = explorer.program_source
+    if source is None or shards == 1:
         payloads = [
-            inline_fn(seeds[start:stop], program) for start, stop in ranges
+            worker(source, seeds[start:stop], *args, program=program)
+            for start, stop in ranges
         ]
         return _merge_shard_payloads(
             stats, payloads, explorer.stop_at_first_bug
         )
-    pool = ProcessPoolExecutor(
-        max_workers=shards, initializer=_shard_worker_init
-    )
+    pool = shard_pool(shards)
     try:
         futures = [
-            pool.submit(*submit_args_fn(seeds[start:stop]))
+            pool.submit(worker, source, seeds[start:stop], *args)
             for start, stop in ranges
         ]
         payloads = []
@@ -1159,21 +1127,9 @@ def explore_sharded_dpor(explorer, program: Program, limit: int):
     backtrack = {first}
     done: set = set()
     pending: dict = {}
-    use_fork = bool(getattr(explorer, "snapshots", False))
-    snapshot_mod = None
-    registry = None
-    if use_fork:
-        from ..engine import snapshot as snapshot_mod
-
-        use_fork = snapshot_mod.fork_available()
-    if use_fork:
-        registry = snapshot_mod.FdRegistry()
-    use_pool = not use_fork and explorer.program_source is not None
     pool = (
-        ProcessPoolExecutor(
-            max_workers=explorer.shards, initializer=_shard_worker_init
-        )
-        if use_pool
+        shard_pool(explorer.shards)
+        if explorer.program_source is not None
         else None
     )
     try:
@@ -1181,28 +1137,18 @@ def explore_sharded_dpor(explorer, program: Program, limit: int):
         while True:
             # Dispatch the head plus predicted successors (min-order over
             # currently-known candidates), each under its predicted sleep
-            # context.  Fork mode (``snapshots=``) forks branch workers
-            # off the live process image — no picklable source needed —
-            # and speculates only when shards allow it.  Inline (neither
-            # fork nor a picklable source): same code path, no
+            # context.  Inline (no picklable source): same code path, no
             # speculation — a mispredicted inline branch is pure waste.
             rest = backtrack - done - {head}
             if bound is not None:
                 rest = {t for t in rest if increments[t] <= bound}
             predicted = [head] + sorted(rest)
-            width = explorer.shards if (use_pool or use_fork) else 1
+            width = explorer.shards if pool is not None else 1
             ctx = set(done)
             for cand in predicted[:width]:
                 key = (cand, frozenset(ctx))
                 if key not in pending:
-                    if use_fork:
-                        pending[key] = snapshot_mod.fork_call(
-                            _dpor_branch_worker,
-                            (spec, payload(cand, ctx), program),
-                            registry=registry,
-                            budget=explorer.budget,
-                        )
-                    elif use_pool:
+                    if pool is not None:
                         pending[key] = pool.submit(
                             _dpor_branch_worker, spec, payload(cand, ctx)
                         )
@@ -1263,17 +1209,8 @@ def explore_sharded_ibpor(explorer, program: Program, limit: int):
                 if stats.deadline_hit or stats.schedules >= limit:
                     return stats
             else:
-                use_fork = bool(getattr(explorer, "snapshots", False))
-                if use_fork:
-                    from ..engine import snapshot as snapshot_mod
-
-                    use_fork = snapshot_mod.fork_available()
-                use_pool = not use_fork and explorer.program_source is not None
-                if use_pool and pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=explorer.shards,
-                        initializer=_shard_worker_init,
-                    )
+                if explorer.program_source is not None and pool is None:
+                    pool = shard_pool(explorer.shards)
                 spec = DporShardSpec(
                     explorer.program_source,
                     explorer.visible_filter,
@@ -1284,16 +1221,7 @@ def explore_sharded_ibpor(explorer, program: Program, limit: int):
                     explorer.budget,
                     limit,
                 )
-                if use_fork:
-                    # Entry workers forked off the live image (ordered,
-                    # windowed; closing the generator cancels the rest).
-                    results = snapshot_mod.fork_map(
-                        _ibpor_entry_worker,
-                        [(spec, entry, program) for entry in frontier],
-                        width=explorer.shards,
-                        budget=explorer.budget,
-                    )
-                elif use_pool:
+                if pool is not None:
                     results = (
                         fut.result()
                         for fut in [

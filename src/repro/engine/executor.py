@@ -71,7 +71,9 @@ def execute(
         replay prefix, so their enabled sets are neither recorded nor
         folded into ``choice_points``/``max_enabled``, and when the
         strategy's :meth:`~SchedulerStrategy.prefix_choice` names an
-        enabled thread the full enabled-set scan is skipped outright.
+        enabled thread the full enabled-set scan is skipped outright —
+        except inside the lasso detector's window, whose steps are always
+        observed.
         The caller owns re-seeding the width statistics for the skipped
         prefix (the DFS stack stores them per choice point).  ``0``
         (default) records everything, exactly as before.
@@ -210,6 +212,13 @@ def execute(
                             f"tid_enabled({hint}) disagrees with enabled() "
                             f"at step {step_index}"
                         )
+                    if step_index >= watch_from:
+                        # Replayed steps inside the lasso window still
+                        # feed the detector (but no width stats): a
+                        # livelock verdict must not depend on replay.
+                        if detector is None:
+                            detector = LassoDetector()
+                        detector.observe(kernel, kernel_enabled())
                     if step_index >= max_steps:
                         outcome = Outcome.STEP_LIMIT
                         break
@@ -249,11 +258,7 @@ def execute(
                     detector = LassoDetector()
                 detector.observe(kernel, enabled)
             if step_index >= max_steps:
-                if detector is not None and detector.cycle_len is not None:
-                    outcome = Outcome.LIVELOCK
-                    lasso_len = detector.cycle_len
-                else:
-                    outcome = Outcome.STEP_LIMIT
+                outcome = Outcome.STEP_LIMIT
                 break
             if budget_tick is not None and budget_tick():
                 outcome = Outcome.TIMEOUT
@@ -289,6 +294,13 @@ def execute(
                 outcome = Outcome.ABORT
                 break
 
+    if (
+        outcome is Outcome.STEP_LIMIT
+        and detector is not None
+        and detector.cycle_len is not None
+    ):
+        outcome = Outcome.LIVELOCK
+        lasso_len = detector.cycle_len
     result = ExecutionResult(
         outcome=outcome,
         bug=kernel.bug,

@@ -38,19 +38,28 @@ replay costs the prefix re-executed per run: ~2.5µs/step when steps are
 pure engine bookkeeping, tens of µs when the subject does real work
 between scheduling points (as native SCT targets do).  The break-even
 prefix is therefore ~100–1000 steps depending on step weight;
-``min_fork_steps`` (default 256) gates forking on exactly that depth.
+:data:`DEFAULT_MIN_FORK_STEPS` (256) gates forking on exactly that depth.
 Shallow trees — most of SCTBench — never fork and run the classic
 search unchanged; deep-prefix subjects (``fixed.prelude``) run ≥2×
 faster end-to-end.  The win is *not* parallelism (holders are parked,
-and the default ``procs`` is 1 on a 1-core box): it is replay
+and the look-ahead width is 1 on a 1-core box): it is replay
 elimination, which is why it holds even on a single CPU.
+
+Every child is forked by one primitive (:meth:`SnapshotRunner._fork`)
+and owns exactly two pipe ends: the read end of its go pipe and the
+write end of its result pipe.  Every other pipe end it inherits — the
+parent-side ends of sibling holders, cross-bound holders' ends, and the
+result pipe the forking process itself owes *its* parent — is closed in
+the child at once, so EOF on a result pipe means exactly "that child is
+gone", never "and every descendant it forked has exited too".
 
 Failure containment:
 
 - a holder that dies or errors is *re-explored inline* from its stored
-  edge descriptors — the same ``PrunedEdge`` payloads sharding ships —
-  so the merged stream (including any exception the subtree legitimately
-  raises) matches serial exactly, just slower;
+  edge descriptors — the same ``PrunedEdge`` payloads sharding ships,
+  through the same subtree loop — so the merged stream (including any
+  exception the subtree legitimately raises) matches serial exactly,
+  just slower;
 - under ``REPRO_ENGINE_CHECK=1`` every fork records a digest of the
   shared-object state (:func:`repro.runtime.objects.snapshot`) and the
   woken child audits its inherited state against it; a mismatch raises
@@ -81,10 +90,10 @@ import struct
 import traceback
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..core.bounds import NoBoundCost
-from ..core.dfs import BoundedDFS, PrunedEdge, RunRecord, _PathNode
+from ..core.bounds import NO_BOUND
+from ..core.dfs import PrunedEdge, RunRecord, unlock
 from ..core.iterative import FrontierSearch
-from ..core.sharding import RunSummary
+from ..core.sharding import RunSummary, SubtreeSpec, _subtree_worker
 from ..runtime.errors import EngineInvariantError
 from ..runtime.objects import snapshot as objects_snapshot
 from .executor import DEFAULT_MAX_STEPS
@@ -166,18 +175,44 @@ def _read_msg(fd: int):
     return pickle.loads(data)
 
 
-class SnapshotWorkerError(RuntimeError):
-    """A forked snapshot worker died without delivering a usable result."""
+def _close(*fds: int) -> None:
+    for fd in fds:
+        if fd >= 0:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+
+
+def _batch(msg) -> Optional[dict]:
+    """A child's reply as a subtree batch, or ``None`` when the subtree
+    must be re-explored by replay: the child died (``msg`` is ``None``)
+    or the subtree raised (re-exploration reproduces a deterministic
+    exception exactly).  A failed restore audit is raised here."""
+    if msg is None:
+        return None
+    status, value = msg
+    if status == "invariant":
+        raise EngineInvariantError(value)
+    return value if status == "ok" else None
+
+
+def _digest(kernel) -> Optional[dict]:
+    """Fork-time shared-object digest for the wake audit (engine check
+    mode only)."""
+    if not engine_check_enabled():
+        return None
+    return objects_snapshot(kernel.naming.objects)
 
 
 # -- live-child accounting ---------------------------------------------------
 
-#: Pids of every forked child (parked holder or fork-call worker) this
-#: process currently owns.  The normal paths unregister on reap; the
-#: :func:`atexit` hook below is the abnormal-exit backstop — a run that
-#: unwinds past ``SnapshotRunner.close()`` (``sys.exit``, an uncaught
-#: exception in a non-runner frame) must not leave parked holders
-#: sleeping on COW pages forever.
+#: Pids of every parked holder this process currently owns.  The normal
+#: paths unregister on reap; the :func:`atexit` hook below is the
+#: abnormal-exit backstop — a run that unwinds past
+#: ``SnapshotRunner.close()`` (``sys.exit``, an uncaught exception in a
+#: non-runner frame) must not leave parked holders sleeping on COW pages
+#: forever.
 _live_children: Set[int] = set()
 
 
@@ -220,282 +255,53 @@ def reap_all_children() -> List[int]:
 atexit.register(reap_all_children)
 
 
-class FdRegistry:
-    """Parent-side pipe ends that freshly forked children must close.
+class _Child:
+    """Parent-side handle to one parked holder: its pid, the write end of
+    its go pipe and the read end of its result pipe.
 
-    Every pipe end the parent keeps open is registered here *after* the
-    fork that created it, so the owning child's memory image never lists
-    its own pipe (it closes its copies of the parent ends explicitly).
-    Children forked later inherit the registry by COW and drop every
-    listed fd on entry — which is what makes go-pipe EOF a reliable
-    "parent is gone" signal for parked holders.
+    ``depth`` orders collection and eviction.  For a holder of sibling
+    subtrees it is the DFS stack depth *including* the forked point: the
+    holder's subtree precedes every run the parent produces after its
+    stack unwinds shallower than that.  For a cross-bound holder it is the
+    fork step, the prefix length a live resume saves.  ``owns`` is what
+    the child owns: the untried siblings as :class:`PrunedEdge` objects
+    (the re-dispatch fallback if the child dies — they share the
+    immutable prefix chain, so nothing walks it unless that happens), or
+    for a cross-bound holder ``{frontier index: cost_after}``.  A
+    cross-bound pid may be a grandchild (registered over the fd-passing
+    socket), so ``waitpid`` failures are expected and the kill is the
+    contract.
     """
 
-    __slots__ = ("fds",)
+    __slots__ = ("pid", "go_w", "res_r", "depth", "owns")
 
-    def __init__(self) -> None:
-        self.fds: List[int] = []
-
-    def add(self, *fds: int) -> None:
-        self.fds.extend(fds)
-
-    def discard(self, fd: int) -> None:
-        try:
-            self.fds.remove(fd)
-        except ValueError:
-            pass
-
-    def close_all_in_child(self) -> None:
-        for fd in self.fds:
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        self.fds = []
-
-
-# -- generic fork futures (DPOR/BPOR farms) ----------------------------------
-
-
-class ForkFuture:
-    """Handle to one :func:`fork_call` child.
-
-    Duck-types the slice of :class:`concurrent.futures.Future` the
-    sharded DPOR farm drives (``result()`` / ``cancel()``): ``result()``
-    blocks on the child's pipe, reaps it, and returns the value or raises
-    :class:`SnapshotWorkerError`; ``cancel()`` kills the child outright.
-    """
-
-    __slots__ = ("pid", "fd", "_registry", "_done")
-
-    def __init__(self, pid: int, fd: int, registry: Optional[FdRegistry]) -> None:
-        self.pid = pid
-        self.fd = fd
-        self._registry = registry
-        self._done = False
-
-    def result(self):
-        if self._done:
-            raise SnapshotWorkerError("fork result already consumed")
-        msg = _read_msg(self.fd)
-        self._finalize(kill=False)
-        if msg is None:
-            raise SnapshotWorkerError(
-                f"snapshot worker {self.pid} died before replying"
-            )
-        status, value = msg
-        if status != "ok":
-            raise SnapshotWorkerError(
-                f"snapshot worker {self.pid} failed:\n{value}"
-            )
-        return value
-
-    def cancel(self) -> bool:
-        if self._done:
-            return False
-        self._finalize(kill=True)
-        return True
-
-    def _finalize(self, kill: bool) -> None:
-        self._done = True
-        if kill:
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-            except OSError:
-                pass
-        if self._registry is not None:
-            self._registry.discard(self.fd)
-        try:
-            os.close(self.fd)
-        except OSError:
-            pass
-        try:
-            os.waitpid(self.pid, 0)
-        except (ChildProcessError, OSError):
-            pass
-        _unregister_child(self.pid)
-
-
-def fork_call(fn, args: tuple, *, registry: Optional[FdRegistry] = None,
-              budget=None) -> ForkFuture:
-    """Run ``fn(*args)`` in a forked child; return a :class:`ForkFuture`.
-
-    The child works on the live COW image — nothing is pickled *in*, only
-    the return value comes back, which is what lets the DPOR farm ship an
-    unpicklable ``Program`` to workers.  ``budget`` (the parent's live
-    :class:`~repro.core.budget.Budget`) is re-anchored in the child so an
-    almost-expired deadline still expires on time there.
-    """
-    res_r, res_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(res_r)
-            _reset_child_registry()
-            if registry is not None:
-                registry.close_all_in_child()
-            if budget is not None:
-                budget.fork_reanchor()
-            try:
-                out = ("ok", fn(*args))
-                code = 0
-            except BaseException:
-                out = ("err", traceback.format_exc())
-            _write_msg(res_w, out)
-        except BaseException:
-            code = 1
-        os._exit(code)
-    os.close(res_w)
-    _register_child(pid)
-    if registry is not None:
-        registry.add(res_r)
-    return ForkFuture(pid, res_r, registry)
-
-
-def fork_map(fn, arg_tuples, *, width: int, budget=None):
-    """Ordered generator over ``fn(*args)`` with at most ``width`` forked
-    children alive at once (the IBPOR entry farm).  Closing the generator
-    early cancels every child still pending."""
-    registry = FdRegistry()
-    tasks = list(arg_tuples)
-    pending: List[ForkFuture] = []
-    issued = 0
-    try:
-        for _ in range(len(tasks)):
-            while issued < len(tasks) and len(pending) < max(1, width):
-                pending.append(
-                    fork_call(fn, tasks[issued], registry=registry,
-                              budget=budget)
-                )
-                issued += 1
-            yield pending.pop(0).result()
-    finally:
-        for fut in pending:
-            fut.cancel()
-
-
-# -- the snapshot runner -----------------------------------------------------
-
-
-def _payload_runs(sub: dict) -> List[Tuple[RunSummary, int, bool]]:
-    """Flatten a holder batch into ``(RunSummary, cost, pruned_any)``
-    tuples.  Shipped batches carry opaque pre-pickled ``segments``
-    (decoded exactly once, here at the root); the inline-fallback path
-    produces a plain in-process ``runs`` list."""
-    if "runs" in sub:
-        return sub["runs"]
-    out: List[Tuple[RunSummary, int, bool]] = []
-    for seg in sub["segments"]:
-        out.extend(pickle.loads(seg))
-    return out
-
-
-class _Holder:
-    """Parent-side handle to one parked snapshot child.
-
-    ``stack_len`` is the DFS stack depth *including* the forked point —
-    the collection key: the holder's subtree precedes every run the
-    parent produces after its stack unwinds shallower than that.
-    ``edges`` are the untried siblings as :class:`PrunedEdge` objects,
-    kept as the re-dispatch fallback if the child dies.  They hold the
-    (immutable, structure-shared) prefix chain by reference; the
-    O(prefix) payload walk is deferred to :meth:`edge_payloads`, which
-    only the cold failure/split paths ever call.
-    """
-
-    __slots__ = ("pid", "go_w", "res_r", "stack_len", "edges", "woken")
-
-    def __init__(self, pid: int, go_w: int, res_r: int, stack_len: int,
-                 edges: List[PrunedEdge]) -> None:
+    def __init__(self, pid: int, go_w: int, res_r: int, depth: int = 0,
+                 owns=None) -> None:
         self.pid = pid
         self.go_w = go_w
         self.res_r = res_r
-        self.stack_len = stack_len
-        self.edges = edges
-        self.woken = False
+        self.depth = depth
+        self.owns = owns
+        _register_child(pid)
 
-    def edge_payloads(self) -> List[dict]:
-        """Materialise the siblings as plain shard descriptors."""
-        return [e.to_payload() for e in self.edges]
-
-    def wake(self, registry: FdRegistry) -> bool:
+    def wake(self) -> bool:
         """Unpark the child (idempotent).  Returns whether the wake byte
         was delivered — ``False`` means the child is already dead."""
-        if self.woken:
+        if self.go_w < 0:
             return True
-        self.woken = True
         fd, self.go_w = self.go_w, -1
         try:
             os.write(fd, b"!")
-            ok = True
+            return True
         except OSError:
-            ok = False
-        registry.discard(fd)
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-        return ok
-
-    def reap(self, registry: FdRegistry) -> None:
-        """Close remaining fds and collect the exit status."""
-        for attr in ("go_w", "res_r"):
-            fd = getattr(self, attr)
-            if fd >= 0:
-                setattr(self, attr, -1)
-                registry.discard(fd)
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-        try:
-            os.waitpid(self.pid, 0)
-        except (ChildProcessError, OSError):
-            pass
-        _unregister_child(self.pid)
-
-    def destroy(self, registry: FdRegistry) -> None:
-        """Kill the child (parked or running) and reap it."""
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-        except OSError:
-            pass
-        self.reap(registry)
-
-
-# -- cross-bound holders -----------------------------------------------------
-
-
-class _CrossHolder:
-    """Root-side handle to one holder parked *across bound transitions*.
-
-    ``costs`` maps each owned frontier-edge index to its ``cost_after``
-    (the smallest bound that unlocks it); ``depth`` is the fork step —
-    the prefix length a live resume saves.  The pid may be a grandchild
-    (forked by another holder and registered over the fd-passing socket),
-    so ``waitpid`` failures are expected and the kill is the contract.
-    """
-
-    __slots__ = ("pid", "go_w", "res_r", "costs", "depth")
-
-    def __init__(self, pid: int, go_w: int, res_r: int,
-                 costs: Dict[int, int], depth: int) -> None:
-        self.pid = pid
-        self.go_w = go_w
-        self.res_r = res_r
-        self.costs = costs
-        self.depth = depth
+            return False
+        finally:
+            _close(fd)
 
     def reap(self) -> None:
-        for attr in ("go_w", "res_r"):
-            fd = getattr(self, attr)
-            if fd >= 0:
-                setattr(self, attr, -1)
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
+        """Close remaining fds and collect the exit status."""
+        _close(self.go_w, self.res_r)
+        self.go_w = self.res_r = -1
         try:
             os.waitpid(self.pid, 0)
         except (ChildProcessError, OSError):
@@ -503,11 +309,15 @@ class _CrossHolder:
         _unregister_child(self.pid)
 
     def destroy(self) -> None:
+        """Kill the child (parked or running) and reap it."""
         try:
             os.kill(self.pid, signal.SIGKILL)
         except OSError:
             pass
         self.reap()
+
+
+# -- cross-bound holders -----------------------------------------------------
 
 
 class CrossBoundRegistry:
@@ -537,12 +347,10 @@ class CrossBoundRegistry:
     the edge by classic prefix replay.
     """
 
-    def __init__(self, max_holders: Optional[int] = None) -> None:
-        self.max_holders = (
-            DEFAULT_MAX_CROSS_HOLDERS if max_holders is None else max_holders
-        )
+    def __init__(self) -> None:
+        self.max_holders = DEFAULT_MAX_CROSS_HOLDERS
         self.owner_pid = os.getpid()
-        self.holders: Dict[str, _CrossHolder] = {}
+        self.holders: Dict[str, _Child] = {}
         self.evicted = 0
         self.resumed = 0
         self._counter = 0
@@ -582,8 +390,7 @@ class CrossBoundRegistry:
         over the socket.  ``False`` means the holder could not be
         registered and the caller must kill it (and close the fds)."""
         if os.getpid() == self.owner_pid:
-            _register_child(pid)
-            self.holders[hid] = _CrossHolder(pid, go_w, res_r, costs, depth)
+            self.holders[hid] = _Child(pid, go_w, res_r, depth, costs)
             self._evict_over_cap()
             return True
         self._quota -= 1
@@ -593,11 +400,7 @@ class CrossBoundRegistry:
             socket.send_fds(self._send, [meta], [go_w, res_r])
         except OSError:
             return False
-        for fd in (go_w, res_r):
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover
-                pass
+        _close(go_w, res_r)
         return True
 
     def on_child(self) -> None:
@@ -606,12 +409,7 @@ class CrossBoundRegistry:
         send end for registrations.  Idempotent — chain forks call it
         again with everything already closed."""
         for holder in self.holders.values():
-            for fd in (holder.go_w, holder.res_r):
-                if fd >= 0:
-                    try:
-                        os.close(fd)
-                    except OSError:
-                        pass
+            _close(holder.go_w, holder.res_r)
         self.holders = {}
         try:
             self._recv.close()
@@ -639,9 +437,7 @@ class CrossBoundRegistry:
             stale = self.holders.pop(hid, None)
             if stale is not None:  # pragma: no cover - ids never collide
                 stale.destroy()
-            _register_child(pid)
-            self.holders[hid] = _CrossHolder(pid, fds[0], fds[1], costs,
-                                             depth)
+            self.holders[hid] = _Child(pid, fds[0], fds[1], depth, costs)
         self._evict_over_cap()
 
     def _evict_over_cap(self) -> None:
@@ -649,7 +445,7 @@ class CrossBoundRegistry:
             hid = max(
                 self.holders,
                 key=lambda h: (
-                    min(self.holders[h].costs.values()),
+                    min(self.holders[h].owns.values()),
                     -self.holders[h].depth,
                 ),
             )
@@ -658,16 +454,15 @@ class CrossBoundRegistry:
 
     def resume(self, handle, bound: int):
         """Wake the holder owning ``handle`` and return its subtree batch
-        (the ``{"segments"/"runs", "frontier", "exhausted"}`` payload), or
+        (the ``{"segments", "frontier", "exhausted"}`` payload), or
         ``None`` if the subtree must be re-explored by classic replay
-        (no such holder, evicted, dead, or it raised — re-exploration
-        reproduces a deterministic exception exactly)."""
+        (no such holder, evicted, dead, or it raised)."""
         if handle is None or self._closed:
             return None
         self.drain()
         hid, idx = handle
         holder = self.holders.get(hid)
-        if holder is None or idx not in holder.costs:
+        if holder is None or idx not in holder.owns:
             return None
         del self.holders[hid]
         self.resumed += 1
@@ -681,14 +476,7 @@ class CrossBoundRegistry:
         # edges and re-registered before writing the batch: adopt it now
         # so the next unlocked sibling finds its handle live.
         self.drain()
-        if msg is None:
-            return None
-        status, value = msg
-        if status == "ok":
-            return value
-        if status == "invariant":
-            raise EngineInvariantError(value)
-        return None  # "err": inline replay reproduces the failure
+        return _batch(msg)
 
     def close(self) -> None:
         """Kill and reap every registered holder, including registrations
@@ -708,65 +496,75 @@ class CrossBoundRegistry:
                 pass
 
 
-def _decode_batch(sub: dict, base_schedule: List[int]) -> Iterator[RunRecord]:
-    """Decode a cross-bound holder batch into the run stream.
+def decode_batch(sub: dict, base_schedule: List[int]) -> List[RunRecord]:
+    """Decode a holder batch into run records.
 
-    Same delta decoding as :meth:`SnapshotRunner._emit_holder`, except the
-    first summary's elided prefix is the *resumed frontier entry's* own
-    schedule (the woken child re-rooted there), not the previous run in
-    the parent's stream."""
-    last = list(base_schedule)
-    for summary, cost, pruned_any in _payload_runs(sub):
-        if summary.restored_steps:
-            summary.schedule = last[:summary.restored_steps] + summary.schedule
-        last = summary.schedule
-        yield RunRecord(summary, cost, pruned_any)
+    A resumed run's schedule arrives delta-encoded: its first
+    ``restored_steps`` entries were elided child-side (identical to the
+    previous record's — the shared prefix up to the fork point).
+    ``base_schedule`` is the schedule preceding the batch: the previous
+    run in the parent's stream, or for a cross-bound batch the resumed
+    frontier entry's own schedule (the woken child re-rooted there)."""
+    records = []
+    last = base_schedule
+    for segment in sub["segments"]:
+        for summary, cost, pruned_any in pickle.loads(segment):
+            if summary.restored_steps:
+                summary.schedule = (
+                    last[:summary.restored_steps] + summary.schedule
+                )
+            last = summary.schedule
+            records.append(RunRecord(summary, cost, pruned_any))
+    return records
+
+
+# -- the snapshot runner -----------------------------------------------------
 
 
 class SnapshotRunner:
     """Drive a :class:`BoundedDFS` with fork-based prefix snapshots.
 
-    Drop-in for the search's run stream: exposes ``runs()`` /
+    Builds the search from ``spec`` (beneath ``root``, recording pruned
+    edges into ``frontier``) and exposes its run stream: ``runs()`` /
     ``exhausted`` / ``split_remaining()`` with the exact serial contract
     (same records, same order, ``exhausted`` accurate at every yield),
-    plus ``close()`` for cleanup.  The wrapped search must be freshly
-    constructed and driven only through this runner.
+    plus ``close()`` for cleanup.  ``procs`` is the look-ahead width;
+    ``cross`` the cross-bound holder registry shared with the owning
+    frontier search.
     """
 
     def __init__(
         self,
-        dfs: BoundedDFS,
+        spec: SubtreeSpec,
+        bound: Optional[int],
         *,
+        root: Optional[PrunedEdge] = None,
+        frontier: Optional[List[PrunedEdge]] = None,
         procs: int = 1,
-        min_fork_steps: Optional[int] = None,
-        max_holders: Optional[int] = None,
         cross: Optional[CrossBoundRegistry] = None,
     ) -> None:
-        self.dfs = dfs
+        self.dfs = spec.search(bound, root, frontier)
+        #: What a dead holder's subtree is re-explored with: never forks.
+        self._spec = spec.replaying()
         self.procs = max(1, procs)
         #: Cross-bound holder registry shared with the owning frontier
         #: search; when set (and the search has a frontier sink), deep
         #: bound-pruned points fork holders that park across bound
         #: transitions instead of dying with this subtree.
         self._cross = cross
-        #: Result-pipe fd of the batch this process is currently draining
-        #: (holder side).  Cross-bound children forked mid-drain must drop
-        #: their inherited copy or the root would never see its EOF.
-        self._active_res_w: Optional[int] = None
-        # ``None`` resolves the module constants at construction time so
-        # tests/benchmarks can tune the fork heuristic globally.
-        self.min_fork_steps = (
-            DEFAULT_MIN_FORK_STEPS if min_fork_steps is None else min_fork_steps
-        )
-        self.max_holders = (
-            DEFAULT_MAX_HOLDERS if max_holders is None else max_holders
-        )
-        self._holders: List[_Holder] = []
-        self._registry = FdRegistry()
-        #: Set in a freshly-woken child by :meth:`_park`; the flag that
-        #: diverts the next ``_next()`` return into the holder drain loop
-        #: instead of letting the child unwind inherited parent frames.
-        self._woke: Optional[dict] = None
+        # Read at construction so tests and benchmarks can tune the fork
+        # heuristic through the module constants.
+        self.min_fork_steps = DEFAULT_MIN_FORK_STEPS
+        self.max_holders = DEFAULT_MAX_HOLDERS
+        self._holders: List[_Child] = []
+        #: Write end of the result pipe this process owes its parent: set
+        #: when a holder wakes, closed in every child it forks.
+        self._res_w: Optional[int] = None
+        #: ``(restored steps, frontier base)`` in a freshly-woken holder:
+        #: the flag that diverts the next ``_next()`` return into the
+        #: holder drain loop instead of letting the child unwind
+        #: inherited parent frames.
+        self._woke: Optional[Tuple[int, int]] = None
         self._complete = False
         self._fork_broken = False
         #: Schedule of the most recently emitted run — the delta-decode
@@ -800,9 +598,9 @@ class SnapshotRunner:
         """The merged run stream: own (truncated-tree) runs interleaved
         with collected holder batches, in exact serial DFS order."""
         dfs = self.dfs
-        dfs._fork_hook = self._hook
-        if self._cross is not None and dfs._frontier is not None:
-            dfs._prune_hook = self._cross_hook
+        dfs.fork_hook = self._hook
+        if self._cross is not None and dfs.frontier is not None:
+            dfs.prune_hook = self._cross_hook
         gen = dfs.runs()
         try:
             while True:
@@ -817,15 +615,15 @@ class SnapshotRunner:
                 # Holders whose forked point is deeper than the post-
                 # backtrack stack hold subtrees that precede every later
                 # own run: collect them now, newest (deepest) first.
-                depth = len(dfs._stack)
-                while self._holders and self._holders[-1].stack_len > depth:
+                depth = dfs.depth
+                while self._holders and self._holders[-1].depth > depth:
                     final_ok = dfs.exhausted and len(self._holders) == 1
                     yield from self._emit_holder(final_ok)
             while self._holders:  # pragma: no cover - drained at last yield
                 yield from self._emit_holder(len(self._holders) == 1)
         finally:
-            dfs._fork_hook = None
-            dfs._prune_hook = None
+            dfs.fork_hook = None
+            dfs.prune_hook = None
             self.close()
 
     def split_remaining(self) -> List[PrunedEdge]:
@@ -839,8 +637,8 @@ class SnapshotRunner:
         descriptor and would be lost."""
         edges = self.dfs.split_remaining()
         for holder in self._holders:
-            edges.extend(holder.edges)
-            holder.destroy(self._registry)
+            edges.extend(holder.owns)
+            holder.destroy()
         self._holders = []
         edges.sort(key=lambda e: e.order_path)
         self._complete = True
@@ -849,141 +647,121 @@ class SnapshotRunner:
     def close(self) -> None:
         """Kill and reap every outstanding holder (idempotent)."""
         for holder in self._holders:
-            holder.destroy(self._registry)
+            holder.destroy()
         self._holders = []
 
-    # -- fork site ----------------------------------------------------------
+    # -- forking -------------------------------------------------------------
+
+    def _fork(self) -> Tuple[int, int, int]:
+        """The one fork primitive: a child with a go pipe and a result
+        pipe.  Returns like ``os.fork``: ``(pid, go_w, res_r)`` in the
+        parent; ``(0, go_r, res_w)`` in the child, after it has dropped
+        every other inherited resource (:meth:`_drop_inherited`); and
+        ``(-1, -1, -1)`` when no pipe or process can be made, which turns
+        forking off for this runner."""
+        fds: List[int] = []
+        try:
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
+            pid = os.fork()
+        except OSError:
+            _close(*fds)
+            self._fork_broken = True
+            return -1, -1, -1
+        go_r, go_w, res_r, res_w = fds
+        if pid == 0:
+            _close(go_w, res_r)
+            self._drop_inherited()
+            return 0, go_r, res_w
+        _close(go_r, res_w)
+        return pid, go_w, res_r
+
+    def _drop_inherited(self) -> None:
+        """Child side of every fork: drop every inherited parent-side
+        resource — registered pids, the parent ends of sibling holders,
+        cross-bound holder fds and the registry's receive socket, and the
+        result pipe the forking process owes its own parent — so pipe EOF
+        and child accounting stay exact."""
+        _reset_child_registry()
+        for holder in self._holders:
+            _close(holder.go_w, holder.res_r)
+        self._holders = []
+        if self._cross is not None:
+            self._cross.on_child()
+        if self._res_w is not None:
+            _close(self._res_w)
+            self._res_w = None
+        self._woke = None
+        self._complete = False
+
+    def _audit_wake(self, step_index: int, kernel, digest) -> None:
+        """Woken child, once its follow-on holder is forked: re-anchor the
+        inherited budget and audit the shared-object state against the
+        fork-time digest."""
+        budget = self.dfs.budget
+        if budget is not None:
+            budget.fork_reanchor()
+        if digest is None:
+            return
+        state = objects_snapshot(kernel.naming.objects)
+        if state != digest:
+            changed = sorted(
+                k for k in set(digest) | set(state)
+                if digest.get(k) != state.get(k)
+            )
+            self._exit_with((
+                "invariant",
+                "snapshot restore audit failed: shared-object state at "
+                f"wake (step {step_index}) differs from the fork-time "
+                f"digest; changed: {changed}",
+            ), 3)
+
+    # -- sibling holders -----------------------------------------------------
 
     def _hook(self, cp, step_index: int, kernel) -> None:
-        """Called by the search right after pushing a new multi-candidate
-        choice point (in whichever process is exploring)."""
+        """``BoundedDFS.fork_hook``: called by the search right after
+        pushing a new multi-candidate choice point (in whichever process
+        is exploring)."""
         if (
             self._fork_broken
             or step_index < self.min_fork_steps
             or len(self._holders) >= self.max_holders
         ):
             return
-        digest = (
-            objects_snapshot(kernel.naming.objects)
-            if engine_check_enabled()
-            else None
-        )
-        self._fork_holder(cp, step_index, kernel, digest)
+        self._fork_holder(cp, step_index, kernel, _digest(kernel))
 
     def _fork_holder(self, cp, step_index: int, kernel, digest) -> bool:
-        """Fork one parked holder owning ``cp.candidates[1:]`` and
-        truncate the point to its first candidate.  Returns ``True`` on
-        the parent side (holder registered, or fork unavailable), and
+        """Fork one parked holder owning ``cp``'s untried siblings and
+        keep only its current candidate here.  Returns ``True`` on the
+        parent side (holder registered, or fork unavailable), and
         ``False`` in a freshly *woken* holder child — by then the child's
-        recursive :meth:`_park` has already retargeted the point and set
+        :meth:`_park` has already retargeted the point and set
         ``self._woke``, so the caller must return immediately and let the
         inherited ``execute()`` resume."""
-        # O(1) per sibling: the PrunedEdge shares the immutable prefix
-        # chain; nothing walks it unless the child later dies.
-        edges = [
-            PrunedEdge(
-                cp.parent_link,
-                cp.order_positions[j],
-                cp.candidates[j],
-                cp.cost_before + cp.increments[j],
-                cp.cp_after,
-                cp.maxen_after,
-            )
-            for j in range(1, len(cp.candidates))
-        ]
-        try:
-            go_r, go_w = os.pipe()
-            res_r, res_w = os.pipe()
-        except OSError:
-            self._fork_broken = True
-            return True
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (go_r, go_w, res_r, res_w):
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-            self._fork_broken = True
-            return True
+        pid, go, res = self._fork()
         if pid == 0:
-            self._park(go_r, go_w, res_r, res_w, cp, step_index, kernel,
-                       digest)
+            self._park(go, res, cp, step_index, kernel, digest)
             return False  # woken: resume as the first untried sibling
-        os.close(go_r)
-        os.close(res_w)
-        _register_child(pid)
-        self._registry.add(go_w, res_r)
-        self._holders.append(
-            _Holder(pid, go_w, res_r, len(self.dfs._stack), edges)
-        )
-        # The holder owns every untried sibling now; this process explores
-        # only the default continuation of the point.
-        del cp.candidates[1:]
-        del cp.increments[1:]
-        del cp.order_positions[1:]
+        if pid > 0:
+            dfs = self.dfs
+            self._holders.append(
+                _Child(pid, go, res, dfs.depth, dfs.detach_untried(cp))
+            )
         return True
 
-    def _park(self, go_r, go_w, res_r, res_w, cp, step_index, kernel,
-              digest) -> None:
-        """Child side of the fork: drop parent fds, sleep until woken (or
+    def _park(self, go_r, res_w, cp, step_index, kernel, digest) -> None:
+        """Child side of a sibling-holder fork: sleep until woken (or
         EOF = parent gone), then retarget the forked point at the first
         untried sibling and let the inherited ``execute()`` continue."""
-        for fd in (go_w, res_r):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        self._drop_inherited()
         try:
             wake = os.read(go_r, 1)
         except OSError:  # pragma: no cover - pipe failure
             wake = b""
-        try:
-            os.close(go_r)
-        except OSError:  # pragma: no cover
-            pass
+        _close(go_r)
         if not wake:
             os._exit(2)  # parent finished or died without needing us
-        budget = self.dfs.budget
-        if budget is not None:
-            budget.fork_reanchor()
-        if digest is not None:
-            state = objects_snapshot(kernel.naming.objects)
-            if state != digest:
-                changed = sorted(
-                    k for k in set(digest) | set(state)
-                    if digest.get(k) != state.get(k)
-                )
-                try:
-                    _write_msg(res_w, (
-                        "invariant",
-                        "snapshot restore audit failed: shared-object "
-                        f"state at wake (step {step_index}) differs from "
-                        f"the fork-time digest; changed: {changed}",
-                    ))
-                finally:
-                    os._exit(3)
-        # The inherited per-run pruning flag belongs to the *parent's*
-        # execution (pruning observed before the fork point).  A serial
-        # sibling run starts with a clear flag and never re-observes
-        # prefix pruning during replay, so the woken child must match:
-        # only pruning at fresh choice points below the fork counts.
-        self.dfs._pruned_this_run = False
-        # Retarget the forked point: drop the parent's default candidate,
-        # select the first sibling, rebuild the path link for it.
-        del cp.candidates[0]
-        del cp.increments[0]
-        del cp.order_positions[0]
-        cp.idx = 0
-        cp.link = _PathNode(cp.parent_link, cp.order_positions[0],
-                            cp.candidates[0])
-        # Untried siblings at shallower points belong to the parent.
-        for point in self.dfs._stack[:-1]:
-            del point.candidates[point.idx + 1:]
-            del point.increments[point.idx + 1:]
-            del point.order_positions[point.idx + 1:]
+        self._res_w = res_w
+        self.dfs.resume_sibling(cp)
         # Chain-fork: park a follow-on holder for the siblings *after*
         # the one this child is about to run, so every sibling at the
         # point — not just the first — resumes from a live image instead
@@ -991,39 +769,17 @@ class SnapshotRunner:
         # this at its own wake, walking the candidate list one live
         # resume at a time.  The shared-state digest carries over
         # unchanged: nothing has stepped since the original fork.
-        if len(cp.candidates) > 1 and not self._fork_broken:
+        if cp.has_untried() and not self._fork_broken:
             if not self._fork_holder(cp, step_index, kernel, digest):
                 return  # we are the follow-on holder; _woke is set
-        frontier = self.dfs._frontier
-        self._woke = {
-            "res_w": res_w,
-            "restored": step_index,
-            "frontier_base": 0 if frontier is None else len(frontier),
-        }
+        self._audit_wake(step_index, kernel, digest)
+        frontier = self.dfs.frontier
+        self._woke = (step_index, 0 if frontier is None else len(frontier))
 
-    def _drop_inherited(self) -> None:
-        """Child side of any holder fork: drop every inherited parent-side
-        resource — registered pids, pipe ends, cross-bound holder fds and
-        the registry's receive socket, and the (ancestor's) active result
-        pipe — so fd EOF semantics and child accounting stay exact."""
-        _reset_child_registry()
-        self._registry.close_all_in_child()
-        self._holders = []
-        if self._cross is not None:
-            self._cross.on_child()
-        if self._active_res_w is not None:
-            try:
-                os.close(self._active_res_w)
-            except OSError:  # pragma: no cover
-                pass
-            self._active_res_w = None
-        self._woke = None
-        self._complete = False
-
-    # -- cross-bound fork site -----------------------------------------------
+    # -- cross-bound holders ---------------------------------------------------
 
     def _cross_hook(self, edges, step_index: int, kernel) -> Optional[int]:
-        """``BoundedDFS._prune_hook``: called right after the bound cut
+        """``BoundedDFS.prune_hook``: called right after the bound cut
         off ``edges`` (that choice point's pruned candidates, already in
         the frontier sink).  Parent side: fork one parked holder owning
         the live image, tag the edges with its handle, return ``None``.
@@ -1038,191 +794,59 @@ class SnapshotRunner:
             or not cross.may_fork()
         ):
             return None
-        digest = (
-            objects_snapshot(kernel.naming.objects)
-            if engine_check_enabled()
-            else None
-        )
-        return self._cross_fork(edges, step_index, kernel, digest)
+        return self._cross_fork(dict(enumerate(edges)), step_index, kernel,
+                                _digest(kernel), cross.next_id())
 
-    def _cross_fork(self, edges, step_index: int, kernel,
-                    digest) -> Optional[int]:
-        cross = self._cross
-        hid = cross.next_id()
-        try:
-            go_r, go_w = os.pipe()
-            res_r, res_w = os.pipe()
-        except OSError:
-            self._fork_broken = True
-            return None
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (go_r, go_w, res_r, res_w):
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-            self._fork_broken = True
-            return None
+    def _cross_fork(self, owned, step_index, kernel, digest,
+                    hid) -> Optional[int]:
+        """Fork one parked holder owning ``owned`` (``{frontier index:
+        edge}``, indices stable across chain forks so every outstanding
+        handle stays valid) and register it under ``hid``.  Returns
+        ``None`` on the forking side; in the child, once a later bound
+        wakes it, the resumed edge's tid."""
+        pid, go, res = self._fork()
         if pid == 0:
-            return self._cross_park(
-                go_r, go_w, res_r, res_w, list(enumerate(edges)),
-                step_index, kernel, digest, hid,
-            )
-        os.close(go_r)
-        os.close(res_w)
-        costs = {j: edge.cost_after for j, edge in enumerate(edges)}
-        if cross.register(hid, pid, go_w, res_r, costs, step_index):
-            for j, edge in enumerate(edges):
-                edge.holder = (hid, j)
-        else:
-            # Registration channel full or gone: kill the fresh holder;
-            # the edges stay plain replayable descriptors.
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:  # pragma: no cover
-                pass
-            for fd in (go_w, res_r):
-                try:
-                    os.close(fd)
-                except OSError:  # pragma: no cover
-                    pass
-            try:
-                os.waitpid(pid, 0)
-            except (ChildProcessError, OSError):  # pragma: no cover
-                pass
+            return self._cross_park(go, res, owned, step_index, kernel,
+                                    digest, hid)
+        if pid > 0:
+            costs = {i: e.cost_after for i, e in owned.items()}
+            if self._cross.register(hid, pid, go, res, costs, step_index):
+                for i, edge in owned.items():
+                    edge.holder = (hid, i)
+            else:
+                # Registration channel full or gone: kill the fresh
+                # holder; the edges stay plain replayable descriptors.
+                _Child(pid, go, res).destroy()
         return None
 
-    def _cross_park(self, go_r, go_w, res_r, res_w, owned, step_index,
-                    kernel, digest, hid) -> int:
+    def _cross_park(self, go_r, res_w, owned, step_index, kernel, digest,
+                    hid) -> int:
         """Child side of a cross-bound fork: park on the live image until
         the frontier search unlocks one of ``owned`` at a later bound,
         then re-root the inherited search at that edge and return its tid
-        (the woken ``choose`` executes it as the new root's final step).
-        ``owned`` is ``[(frontier_index, edge), ...]`` with indices stable
-        across chain forks so every outstanding handle stays valid."""
-        for fd in (go_w, res_r):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        self._drop_inherited()
-        self._fork_broken = False
+        (the woken ``choose`` executes it as the new root's final step)."""
         msg = _read_msg(go_r)
-        try:
-            os.close(go_r)
-        except OSError:  # pragma: no cover
-            pass
+        _close(go_r)
         if msg is None:
             os._exit(2)  # search finished or died without unlocking us
+        self._res_w = res_w
         new_bound, j = msg
-        edge = None
-        remaining = []
-        for i, e in owned:
-            if i == j:
-                edge = e
-            else:
-                remaining.append((i, e))
+        edge = owned.pop(j, None)
         if edge is None:  # pragma: no cover - registry never sends these
             os._exit(2)
-        if remaining:
+        if owned:
             # Chain-fork a follow-on holder for the edges not resumed
             # now, *before* the re-root below mutates inherited state;
             # it re-registers under the same holder id (datagram queued
             # before this child's batch, so the root adopts it in time).
-            # The digest carries over: nothing has stepped since the
-            # original fork.
-            chained = self._cross_chain(remaining, step_index, kernel,
-                                        digest, hid, res_w)
+            chained = self._cross_fork(owned, step_index, kernel, digest,
+                                       hid)
             if chained is not None:
                 return chained  # we are the follow-on, freshly re-rooted
-        budget = self.dfs.budget
-        if budget is not None:
-            budget.fork_reanchor()
-        if digest is not None:
-            state = objects_snapshot(kernel.naming.objects)
-            if state != digest:
-                changed = sorted(
-                    k for k in set(digest) | set(state)
-                    if digest.get(k) != state.get(k)
-                )
-                try:
-                    _write_msg(res_w, (
-                        "invariant",
-                        "cross-bound restore audit failed: shared-object "
-                        f"state at wake (step {step_index}) differs from "
-                        f"the fork-time digest; changed: {changed}",
-                    ))
-                finally:
-                    os._exit(3)
-        # Re-root the inherited search at the resumed edge: the schedule
-        # executed so far *is* ``edge.schedule`` minus its final entry,
-        # and the pruned candidate (the tid returned below) becomes the
-        # new root's last step.  Width stats for the run in flight were
-        # fixed before it started (``BoundedDFS._reseed``) and cover the
-        # shared prefix exactly, so only tree state is swapped here.
-        dfs = self.dfs
-        dfs.bound = new_bound
-        dfs._root_schedule = list(edge.schedule)
-        dfs._root_len = len(dfs._root_schedule)
-        dfs._root_node = edge
-        dfs._root_cost = edge.cost_after
-        dfs._root_cp = edge.cp
-        dfs._root_maxen = edge.maxen
-        dfs._stack = []
-        dfs._exhausted = False
-        dfs._pruned_this_run = False
-        dfs._frontier = []
-        self._woke = {"res_w": res_w, "restored": step_index,
-                      "frontier_base": 0}
+        self._audit_wake(step_index, kernel, digest)
+        self.dfs.reroot(edge, new_bound)
+        self._woke = (step_index, 0)
         return edge.tid
-
-    def _cross_chain(self, remaining, step_index, kernel, digest, hid,
-                     parent_res_w) -> Optional[int]:
-        """Fork the follow-on cross-bound holder for ``remaining``.
-        Returns ``None`` on the (woken) parent side; in the follow-on
-        child it parks, and on *its* wake returns the resumed tid."""
-        cross = self._cross
-        try:
-            go_r, go_w = os.pipe()
-            res_r, res_w = os.pipe()
-        except OSError:
-            return None  # no follow-on: those edges fall back to replay
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (go_r, go_w, res_r, res_w):
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-            return None
-        if pid == 0:
-            try:
-                os.close(parent_res_w)
-            except OSError:  # pragma: no cover
-                pass
-            return self._cross_park(go_r, go_w, res_r, res_w, remaining,
-                                    step_index, kernel, digest, hid)
-        os.close(go_r)
-        os.close(res_w)
-        costs = {i: e.cost_after for i, e in remaining}
-        if not cross.register(hid, pid, go_w, res_r, costs, step_index):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:  # pragma: no cover
-                pass
-            for fd in (go_w, res_r):
-                try:
-                    os.close(fd)
-                except OSError:  # pragma: no cover
-                    pass
-            try:
-                os.waitpid(pid, 0)
-            except (ChildProcessError, OSError):  # pragma: no cover
-                pass
-        return None
 
     # -- child containment ---------------------------------------------------
 
@@ -1236,41 +860,38 @@ class SnapshotRunner:
             record = next(gen)
         except StopIteration:
             if self._woke is not None:  # pragma: no cover - impossible
-                self._child_fail("woken holder produced no run")
+                self._exit_with(("err", "woken holder produced no run"), 1)
             raise
         except BaseException:
             if self._woke is not None:
-                self._child_fail(traceback.format_exc())
+                self._exit_with(("err", traceback.format_exc()), 1)
             raise
         if self._woke is not None:
             self._become_holder(record, gen)  # never returns
         return record
 
-    def _child_fail(self, text: str) -> None:
-        info, self._woke = self._woke, None
+    def _exit_with(self, msg, code: int) -> None:
+        """Ship ``msg`` on the result pipe and exit (holder side)."""
         try:
-            _write_msg(info["res_w"], ("err", text))
+            _write_msg(self._res_w, msg)
         except BaseException:
             pass
-        os._exit(1)
+        os._exit(code)
 
     def _become_holder(self, first: RunRecord, gen) -> None:
         """Woken child: drain the sibling subtree synchronously, ship the
         batch on the result pipe, exit.  Never returns."""
-        info, self._woke = self._woke, None
-        code = 1
+        restored, frontier_base = self._woke
+        self._woke = None
         try:
-            payload = self._drain_as_holder(first, gen, info)
-            _write_msg(info["res_w"], ("ok", payload))
-            code = 0
+            batch = self._drain_as_holder(first, gen, restored,
+                                          frontier_base)
         except BaseException:
-            try:
-                _write_msg(info["res_w"], ("err", traceback.format_exc()))
-            except BaseException:
-                pass
-        os._exit(code)
+            self._exit_with(("err", traceback.format_exc()), 1)
+        self._exit_with(("ok", batch), 0)
 
-    def _drain_as_holder(self, first: RunRecord, gen, info: dict) -> dict:
+    def _drain_as_holder(self, first: RunRecord, gen, restored: int,
+                         frontier_base: int) -> dict:
         """Holder drain loop: same merge logic as :meth:`runs`, but
         synchronous, accumulating ``(RunSummary, cost, pruned_any)``
         tuples plus the frontier edges this subtree pruned (own edges
@@ -1284,11 +905,10 @@ class SnapshotRunner:
         crossing a deep holder chain is pickled exactly once no matter
         how many hops it takes to reach the root."""
         dfs = self.dfs
-        self._active_res_w = info["res_w"]
         segments: List[bytes] = []
         cur: List[Tuple[RunSummary, int, bool]] = []
         out_frontier: List[dict] = []
-        fcur = info["frontier_base"]
+        fcur = frontier_base
         ppid = os.getppid()
 
         def flush_cur() -> None:
@@ -1300,7 +920,7 @@ class SnapshotRunner:
 
         def flush_frontier() -> None:
             nonlocal fcur
-            sink = dfs._frontier
+            sink = dfs.frontier
             if sink is not None and fcur < len(sink):
                 out_frontier.extend(e.to_payload() for e in sink[fcur:])
                 fcur = len(sink)
@@ -1308,13 +928,13 @@ class SnapshotRunner:
         # Delta encoding: this run's first ``restored`` schedule entries
         # are bit-identical to the stream predecessor's (both executed
         # the shared prefix up to the fork point), so ship only the
-        # suffix.  ``restored_steps`` doubles as the prefix length; the
-        # root re-attaches the prefix in :meth:`_emit_holder`.  Slicing
-        # past the prefix also keeps this child from copy-on-write
-        # faulting every page the prefix entries live on.
-        summary = RunSummary.from_result(
-            first.result, schedule_base=info["restored"])
-        summary.restored_steps = info["restored"]
+        # suffix.  ``restored_steps`` doubles as the prefix length;
+        # :func:`decode_batch` re-attaches the prefix.  Slicing past the
+        # prefix also keeps this child from copy-on-write faulting every
+        # page the prefix entries live on.
+        summary = RunSummary.from_result(first.result,
+                                         schedule_base=restored)
+        summary.restored_steps = restored
         cur.append((summary, first.cost, bool(first.pruned_any)))
         exhausted = True
         while True:
@@ -1323,16 +943,12 @@ class SnapshotRunner:
                 break
             if os.getppid() != ppid:  # orphaned mid-drain
                 os._exit(2)
-            depth = len(dfs._stack)
-            while self._holders and self._holders[-1].stack_len > depth:
+            depth = dfs.depth
+            while self._holders and self._holders[-1].depth > depth:
                 flush_frontier()
-                sub = self._reap_holder(self._holders.pop())
+                sub = self._collect(self._holders.pop())
                 flush_cur()
-                if "segments" in sub:
-                    segments.extend(sub["segments"])
-                else:  # inline fallback batch: pickle it once here
-                    segments.append(pickle.dumps(
-                        sub["runs"], protocol=pickle.HIGHEST_PROTOCOL))
+                segments.extend(sub["segments"])
                 out_frontier.extend(sub["frontier"])
                 if not sub["exhausted"]:
                     exhausted = False
@@ -1345,9 +961,7 @@ class SnapshotRunner:
                 break
             summary = RunSummary.from_result(record.result)
             cur.append((summary, record.cost, bool(record.pruned_any)))
-        for holder in self._holders:  # only on an early (timeout) stop
-            holder.destroy(self._registry)
-        self._holders = []
+        self.close()  # holders are left only on an early (timeout) stop
         flush_cur()
         flush_frontier()
         return {"segments": segments, "frontier": out_frontier,
@@ -1355,58 +969,33 @@ class SnapshotRunner:
 
     # -- parent-side collection ----------------------------------------------
 
-    def _reap_holder(self, holder: _Holder) -> dict:
+    def _collect(self, holder: _Child) -> dict:
         """Wake one holder and block for its batch.  A dead or failed
-        holder degrades to inline re-exploration of its stored edges —
-        same records, same order, no snapshot win."""
-        msg = None
-        if holder.wake(self._registry):
-            msg = _read_msg(holder.res_r)
-        holder.reap(self._registry)
-        if msg is not None:
-            status, value = msg
-            if status == "ok":
-                return value
-            if status == "invariant":
-                raise EngineInvariantError(value)
-            # "err": the subtree raised.  Re-explore inline so the
-            # exception (if deterministic) surfaces exactly as the serial
-            # search would raise it.
-        return self._explore_edges_inline(holder.edge_payloads())
-
-    def _explore_edges_inline(self, edge_payloads: List[dict]) -> dict:
+        holder degrades to re-exploring its stored edges in-process with
+        the plain replaying search — same records, same order (including
+        any exception the subtree deterministically raises), no snapshot
+        win."""
+        msg = _read_msg(holder.res_r) if holder.wake() else None
+        holder.reap()
+        batch = _batch(msg)
+        if batch is not None:
+            return batch
         dfs = self.dfs
-        runs: List[Tuple[RunSummary, int, bool]] = []
-        out_frontier: List[dict] = []
+        segments: List[bytes] = []
+        frontier: List[dict] = []
         exhausted = True
-        for payload in edge_payloads:
-            sink: Optional[List[PrunedEdge]] = (
-                [] if dfs._frontier is not None else None
+        for edge in holder.owns:
+            runs, sub_frontier, _, exhausted = _subtree_worker(
+                self._spec, dfs.bound, edge.to_payload(), None,
+                dfs.frontier is not None,
             )
-            sub = BoundedDFS(
-                dfs.program,
-                dfs.cost_model,
-                dfs.bound,
-                visible_filter=dfs.visible_filter,
-                max_steps=dfs.max_steps,
-                spurious_wakeups=dfs.spurious_wakeups,
-                root=PrunedEdge.from_payload(payload),
-                frontier=sink,
-                order_cache=dfs._order_cache,
-                fast_replay=dfs.fast_replay,
-                budget=dfs.budget,
+            segments.append(
+                pickle.dumps(runs, protocol=pickle.HIGHEST_PROTOCOL)
             )
-            for record in sub.runs():
-                summary = RunSummary.from_result(record.result)
-                runs.append((summary, record.cost, bool(record.pruned_any)))
-                if summary.outcome is Outcome.TIMEOUT:
-                    exhausted = False
-                    break
-            if sink:
-                out_frontier.extend(e.to_payload() for e in sink)
+            frontier.extend(sub_frontier)
             if not exhausted:
                 break
-        return {"runs": runs, "frontier": out_frontier,
+        return {"segments": segments, "frontier": frontier,
                 "exhausted": exhausted}
 
     def _emit_holder(self, final_ok: bool) -> Iterator[RunRecord]:
@@ -1418,33 +1007,23 @@ class SnapshotRunner:
             # while we drain this one; batches buffer in their pipes and
             # emission order is fixed at collection regardless.
             for holder in self._holders[-self.procs:]:
-                holder.wake(self._registry)
-        sub = self._reap_holder(self._holders.pop())
+                holder.wake()
+        sub = self._collect(self._holders.pop())
         if self._cross is not None:
             # Keep the registration queue shallow: adopt (and cap) the
             # cross-bound holders this batch's subtree just parked.
             self._cross.drain()
-        sink = self.dfs._frontier
+        sink = self.dfs.frontier
         if sink is not None and sub["frontier"]:
             sink.extend(PrunedEdge.from_payload(p) for p in sub["frontier"])
-        runs = _payload_runs(sub)
-        last = len(runs) - 1
-        if final_ok and sub["exhausted"] and last < 0:
-            self._complete = True  # pragma: no cover - batches are nonempty
-        for i, (summary, cost, pruned_any) in enumerate(runs):
-            if summary.restored_steps:
-                # Delta decode: the first ``restored_steps`` entries were
-                # elided child-side (identical to the previous stream
-                # run's — the shared prefix up to the fork point).
-                summary.schedule = (
-                    self._last_sched[:summary.restored_steps]
-                    + summary.schedule
-                )
-            self._last_sched = summary.schedule
+        records = decode_batch(sub, self._last_sched)
+        last = len(records) - 1
+        for i, record in enumerate(records):
+            self._last_sched = record.result.schedule
             if final_ok and sub["exhausted"] and i == last:
                 self._complete = True
             self._mid_batch = i < last
-            yield RunRecord(summary, cost, pruned_any)
+            yield record
 
 
 # -- convenience constructors ------------------------------------------------
@@ -1457,27 +1036,17 @@ def snapshot_dfs(
     max_steps: int = DEFAULT_MAX_STEPS,
     spurious_wakeups: int = 0,
     budget=None,
-    procs: Optional[int] = None,
-    min_fork_steps: Optional[int] = None,
-    max_holders: Optional[int] = None,
 ) -> SnapshotRunner:
     """A snapshot-backed unbounded DFS (the ``DFSExplorer`` backend)."""
-    dfs = BoundedDFS(
+    spec = SubtreeSpec(
         program,
-        NoBoundCost(),
-        None,
+        NO_BOUND,
         visible_filter=visible_filter,
         max_steps=max_steps,
         spurious_wakeups=spurious_wakeups,
-        fast_replay=True,
         budget=budget,
     )
-    return SnapshotRunner(
-        dfs,
-        procs=default_procs() if procs is None else procs,
-        min_fork_steps=min_fork_steps,
-        max_holders=max_holders,
-    )
+    return SnapshotRunner(spec, None, procs=default_procs())
 
 
 class SnapshotFrontierSearch(FrontierSearch):
@@ -1495,48 +1064,34 @@ class SnapshotFrontierSearch(FrontierSearch):
     records in identical order.
     """
 
-    def __init__(self, program, cost_model, *, procs: Optional[int] = None,
-                 min_fork_steps: Optional[int] = None,
-                 max_holders: Optional[int] = None,
-                 max_cross_holders: Optional[int] = None, **kwargs) -> None:
+    def __init__(self, program, cost_model, **kwargs) -> None:
         super().__init__(program, cost_model, **kwargs)
-        self._cross = CrossBoundRegistry(max_cross_holders)
-        self._snapshot_opts = dict(
-            procs=default_procs() if procs is None else procs,
-            min_fork_steps=min_fork_steps,
-            max_holders=max_holders,
-        )
+        self._cross = CrossBoundRegistry()
+        self._procs = default_procs()
 
     def _subtree(self, bound, root) -> SnapshotRunner:
         # The runner's ``runs()`` closes itself (try/finally) even when
         # the consumer stops mid-stream, so the base-class enumeration
         # needs no extra cleanup.
-        return SnapshotRunner(
-            FrontierSearch._subtree(self, bound, root),
-            cross=self._cross,
-            **self._snapshot_opts,
-        )
+        return SnapshotRunner(self.spec, bound, root=root,
+                              frontier=self._frontier, procs=self._procs,
+                              cross=self._cross)
 
     def runs_at_bound(self, bound: int) -> Iterator[RunRecord]:
         if not self._started:
             yield from super().runs_at_bound(bound)
             return
-        unlocked = [e for e in self._frontier if e.cost_after <= bound]
-        if not unlocked:
-            return
-        self._frontier = [e for e in self._frontier if e.cost_after > bound]
-        unlocked.sort(key=lambda e: e.order_path)
+        unlocked, self._frontier = unlock(self._frontier, bound)
         for entry in unlocked:
             sub = self._cross.resume(entry.holder, bound)
             if sub is None:
                 # No live image for this edge — classic prefix replay.
                 yield from self._subtree(bound, entry).runs()
                 continue
-            if sub["frontier"]:
-                self._frontier.extend(
-                    PrunedEdge.from_payload(p) for p in sub["frontier"]
-                )
-            yield from _decode_batch(sub, entry.schedule)
+            self._frontier.extend(
+                PrunedEdge.from_payload(p) for p in sub["frontier"]
+            )
+            yield from decode_batch(sub, entry.schedule)
 
     def close(self) -> None:
         """Kill every cross-bound holder still parked (idempotent)."""

@@ -98,11 +98,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--snapshots", action="store_true",
-        help="fork-based copy-on-write prefix snapshots for the "
-             "systematic techniques (IPB/IDB/DFS/DPOR/BPOR): deep "
-             "schedule prefixes resume from live process images instead "
-             "of being replayed; results byte-identical, falls back to "
-             "serial replay where os.fork is unavailable",
+        help="fork-based copy-on-write prefix snapshots for IPB/IDB/DFS: "
+             "deep schedule prefixes resume from live process images "
+             "instead of being replayed; results byte-identical, falls "
+             "back to serial replay where os.fork is unavailable",
     )
     parser.add_argument(
         "--profile-cell", action="store_true", dest="profile_cells",

@@ -83,8 +83,8 @@ class StudyConfig:
     #: it is not 1.
     cell_shards: int = 1
     #: Fork-based copy-on-write prefix snapshots (``--snapshots``,
-    #: :mod:`repro.engine.snapshot`) for the systematic techniques
-    #: (IPB/IDB/DFS/DPOR/BPOR).  A pure go-faster knob: the merged run
+    #: :mod:`repro.engine.snapshot`) for IPB/IDB/DFS (DPOR/BPOR keep
+    #: their own incremental replay).  A pure go-faster knob: the merged run
     #: stream is byte-identical to serial by construction, and platforms
     #: without ``os.fork`` fall back to the replay fast path — so like
     #: the telemetry knobs it never joins the fingerprint.

@@ -224,11 +224,12 @@ def make_technique_explorers(
     always executes serially.
 
     ``config.snapshots`` additionally turns on fork-based COW prefix
-    snapshots (:mod:`repro.engine.snapshot`) for the systematic
-    techniques (IPB/IDB/DFS/DPOR/BPOR) — results are byte-identical, deep
-    schedule prefixes are executed once instead of replayed per run.
-    Rand/PCT re-execute full schedules by design and MapleAlg is
-    sequential, so the knob does not apply to them.
+    snapshots (:mod:`repro.engine.snapshot`) for the stateless bounded
+    searches (IPB/IDB/DFS) — results are byte-identical, deep schedule
+    prefixes are executed once instead of replayed per run.  DPOR/BPOR
+    keep their own incremental replay, Rand/PCT re-execute full
+    schedules by design and MapleAlg is sequential, so the knob does not
+    apply to them.
     """
     shard_kwargs = {}
     if config.cell_shards > 1 and bench_name:
@@ -236,9 +237,9 @@ def make_technique_explorers(
             "shards": config.cell_shards,
             "program_source": ("bench", bench_name),
         }
-    # COW prefix snapshots (engine/snapshot.py): systematic techniques
-    # only; a pure perf knob, composes with sharding (shard workers fork
-    # holders at their subtree choice points).
+    # COW prefix snapshots (engine/snapshot.py): IPB/IDB/DFS only; a pure
+    # perf knob, composes with sharding (shard workers fork holders at
+    # their subtree choice points).
     snap_kwargs = {"snapshots": True} if config.snapshots else {}
 
     def _pct():
@@ -259,7 +260,6 @@ def make_technique_explorers(
             visible_filter=visible_filter,
             max_steps=config.max_steps,
             **shard_kwargs,
-            **snap_kwargs,
         )
 
     def _bpor():
@@ -269,7 +269,6 @@ def make_technique_explorers(
             visible_filter=visible_filter,
             max_steps=config.max_steps,
             **shard_kwargs,
-            **snap_kwargs,
         )
         # Study cells report under the paper-style name "BPOR" rather
         # than the engine's internal "IBPOR" label.

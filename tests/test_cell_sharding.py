@@ -39,6 +39,7 @@ from repro.core import (
     make_ipb,
     split_indices,
 )
+from repro.core import sharding
 from repro.core.bounds import DELAY, NO_BOUND, PREEMPTION
 from repro.core.dfs import BoundedDFS, PrunedEdge
 from repro.core.iterative import FrontierSearch
@@ -197,19 +198,16 @@ def test_split_remaining_is_exact_ordered_remainder(after_runs):
 
 
 @pytest.mark.parametrize("split_runs", [1, 2])
-def test_tiny_split_budget_still_equivalent(split_runs):
+def test_tiny_split_budget_still_equivalent(split_runs, monkeypatch):
     # split_runs=1 forces a cooperative split after every worker run —
     # maximum-churn work stealing must not perturb the merged stream.
+    monkeypatch.setattr(sharding, "DEFAULT_SPLIT_RUNS", split_runs)
     factory = lambda: figure1(clone_count=2)
     serial = DFSExplorer().explore(factory(), 10_000)
-    sharded = DFSExplorer(shards=3, split_runs=split_runs).explore(
-        factory(), 10_000
-    )
+    sharded = DFSExplorer(shards=3).explore(factory(), 10_000)
     assert _canon(serial) == _canon(sharded)
     ipb_serial = make_ipb().explore(factory(), 10_000)
-    ipb_sharded = make_ipb(shards=3, split_runs=split_runs).explore(
-        factory(), 10_000
-    )
+    ipb_sharded = make_ipb(shards=3).explore(factory(), 10_000)
     assert _canon(ipb_serial) == _canon(ipb_sharded)
 
 

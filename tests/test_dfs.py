@@ -1,11 +1,16 @@
 """Bounded DFS: completeness, uniqueness, and agreement with brute force."""
 
+import itertools
+from unittest import mock
+
 import pytest
 
 from repro.core import DELAY, PREEMPTION, BoundedDFS, DFSExplorer
 from repro.core.bounds import NoBoundCost
 from repro.core.schedule import Schedule
 from repro.engine import Outcome, ReplayStrategy, RoundRobinStrategy, execute
+from repro.engine.hardening import LASSO_WINDOW, LassoDetector
+from repro.sctbench.fixed import make_wsq_fixed
 
 from .programs import (
     figure1,
@@ -155,3 +160,27 @@ class TestDFSExplorer:
         stats = DFSExplorer().explore(lock_order_deadlock(), limit=10_000)
         assert stats.found_bug
         assert stats.first_bug.outcome is Outcome.DEADLOCK
+
+
+def test_lasso_detector_sees_every_window_step():
+    """The replay fast path still feeds the lasso detector every replayed
+    step inside its window: it observes the same steps as a search that
+    chooses every step, so no livelock verdict depends on the replay."""
+    observed = {}
+    original = LassoDetector.observe
+    for fast_replay in (True, False):
+        steps = observed[fast_replay] = []
+
+        def observe(detector, kernel, enabled, steps=steps):
+            steps.append(kernel.steps)
+            return original(detector, kernel, enabled)
+
+        dfs = BoundedDFS(
+            make_wsq_fixed(),  # choice points up to step 40
+            max_steps=LASSO_WINDOW + 20,
+            fast_replay=fast_replay,
+        )
+        with mock.patch.object(LassoDetector, "observe", observe):
+            for _ in itertools.islice(dfs.runs(), 100):
+                pass
+    assert observed[True] == observed[False] != []

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import Budget, DFSExplorer, RandomExplorer
+from repro.core import Budget, DFSExplorer, RandomExplorer, make_idb, make_ipb
 from repro.core.dpor import DPORExplorer
 from repro.engine import (
     CallbackStrategy,
@@ -167,6 +167,27 @@ class TestLivelockDetection:
         result = execute(Program("progress", setup, main), RR(), max_steps=150)
         assert result.outcome is Outcome.STEP_LIMIT
         assert result.lasso_len is None
+
+    @pytest.mark.parametrize(
+        "make", [DFSExplorer, make_ipb, make_idb], ids=["DFS", "IPB", "IDB"]
+    )
+    def test_replayed_prefix_does_not_hide_a_livelock(self, make):
+        # Two spinners, one joined: every run ends in a lasso.  Every
+        # step is a choice point, so each run replays a prefix reaching
+        # into the detector's window and chooses only its last steps;
+        # the replayed steps must still feed the detector.
+        def spinner(ctx, sh):
+            while True:
+                yield ctx.sched_yield(site="spin")
+
+        def main(ctx, sh):
+            first = yield ctx.spawn(spinner)
+            yield ctx.spawn(spinner)
+            yield ctx.join(first)
+
+        program = Program("two_spinners", SimpleNamespace, main)
+        stats = make(max_steps=300).explore(program, 8)
+        assert stats.as_dict()["livelocks"] == 8
 
     def test_livelock_counts_in_stats(self):
         program = next(

@@ -1,12 +1,13 @@
 """Snapshot-backed exploration is observationally identical to serial replay.
 
 The contract (DESIGN.md section 15): with ``snapshots=True`` the
-systematic explorers (IPB/IDB/DFS/DPOR/BPOR) produce byte-identical
+stateless bounded explorers (IPB/IDB/DFS) produce byte-identical
 ``as_dict()`` stats and enumerate the same terminal schedules in the same
 order as the classic serial search; only wall-clock and the telemetry
 counters (``replayed_steps`` vs ``snapshot_restored_steps``) differ.  The
 knob composes with ``shards=`` and silently degrades to the serial replay
-fast path where ``os.fork`` is unavailable.
+fast path where ``os.fork`` is unavailable.  Every holder owns exactly
+its own two pipe ends.
 
 Also here, because they ship in the same change:
 
@@ -20,8 +21,11 @@ Also here, because they ship in the same change:
 
 from __future__ import annotations
 
+import fcntl
 import itertools
+import os
 import random
+import stat
 
 import pytest
 
@@ -29,7 +33,6 @@ from repro.core import (
     DELAY,
     PREEMPTION,
     DFSExplorer,
-    DPORExplorer,
     IterativeBPORExplorer,
     make_idb,
     make_ipb,
@@ -133,26 +136,6 @@ def test_stats_identical_under_limit_truncation(limit):
         assert serial.as_dict() == snapped.as_dict(), (name, limit)
 
 
-@needs_fork
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda **kw: DPORExplorer(**kw),
-        lambda **kw: IterativeBPORExplorer(**kw),
-    ],
-    ids=["DPOR", "BPOR"],
-)
-@pytest.mark.parametrize(
-    "factory",
-    [figure1, lambda: unsafe_counter(workers=2, increments=2)],
-    ids=["figure1", "counter"],
-)
-def test_partial_order_reduction_stats_identical(factory, make):
-    serial = make().explore(factory(), 10_000)
-    snapped = make(snapshots=True).explore(factory(), 10_000)
-    assert serial.as_dict() == snapped.as_dict()
-
-
 # -- identical run streams ---------------------------------------------------
 
 
@@ -172,9 +155,10 @@ def _stream(runs, cap=400):
 
 @needs_fork
 @pytest.mark.parametrize("factory", GRID)
-def test_dfs_run_stream_identical_in_order(factory):
+def test_dfs_run_stream_identical_in_order(factory, monkeypatch):
+    monkeypatch.setattr(snap, "default_procs", lambda: 2)
     serial = BoundedDFS(factory(), NoBoundCost(), None, fast_replay=True)
-    runner = snap.snapshot_dfs(factory(), procs=2)
+    runner = snap.snapshot_dfs(factory())
     try:
         assert _stream(serial.runs()) == _stream(runner.runs())
         assert serial.exhausted == runner.exhausted
@@ -223,11 +207,11 @@ def test_iterative_matrix_serial_vs_snapshots_vs_shards(factory, name, shards):
 @pytest.mark.parametrize("shards", [1, 3])
 @pytest.mark.parametrize("factory", SMALL_GRID)
 def test_ibpor_matrix_serial_vs_snapshots_vs_shards(factory, shards):
+    # IBPOR takes no snapshots (its entries replay incrementally); what
+    # is left of the matrix is its shards leg.
     serial = IterativeBPORExplorer().explore(factory(), 10_000)
-    snapped = IterativeBPORExplorer(snapshots=True, shards=shards).explore(
-        factory(), 10_000
-    )
-    assert serial.as_dict() == snapped.as_dict()
+    sharded = IterativeBPORExplorer(shards=shards).explore(factory(), 10_000)
+    assert serial.as_dict() == sharded.as_dict()
 
 
 # -- cross-bound holders: resume, eviction, fallback -------------------------
@@ -265,15 +249,14 @@ def test_cross_bound_resume_fires_and_streams_identically():
 
 @needs_fork
 @pytest.mark.parametrize("cap", [0, 1, 3])
-def test_holder_eviction_falls_back_to_replay(cap):
+def test_holder_eviction_falls_back_to_replay(cap, monkeypatch):
     # A tiny holder-pool cap forces eviction (cap 0 disables cross-bound
     # forking entirely); evicted edges fall back to classic prefix
     # replay with an identical record stream.
+    monkeypatch.setattr(snap, "DEFAULT_MAX_CROSS_HOLDERS", cap)
     factory = lambda: unsafe_counter(workers=3, increments=1)
     serial, serial_done = _enumerate_bounds(FrontierSearch(factory(), PREEMPTION))
-    search = snap.SnapshotFrontierSearch(
-        factory(), PREEMPTION, max_cross_holders=cap
-    )
+    search = snap.SnapshotFrontierSearch(factory(), PREEMPTION)
     snapped, snapped_done = _enumerate_bounds(search)
     assert serial == snapped
     assert serial_done == snapped_done
@@ -281,6 +264,53 @@ def test_holder_eviction_falls_back_to_replay(cap):
         assert search._cross.resumed == 0
     else:
         assert search._cross.evicted > 0
+
+
+# -- pipe ownership ----------------------------------------------------------
+
+
+def _holds_write_end(fd, inode):
+    try:
+        st = os.fstat(fd)
+    except OSError:
+        return False
+    return (
+        stat.S_ISFIFO(st.st_mode)
+        and st.st_ino == inode
+        and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_WRONLY
+    )
+
+
+@needs_fork
+@pytest.mark.parametrize("name", ["DFS", "IPB"])
+def test_no_holder_keeps_an_ancestor_result_pipe_open(name, tmp_path,
+                                                      monkeypatch):
+    # A holder writes its batch holding no pipe write end but its own
+    # result pipe's: an ancestor's result pipe left open in a descendant
+    # would delay that ancestor's EOF until the descendant exits.
+    made = []  # (write end, inode) of every pipe, inherited by each fork
+    real_pipe, real_write = os.pipe, snap._write_msg
+    root = os.getpid()
+    log = tmp_path / "held"
+
+    def pipe():
+        r, w = real_pipe()
+        made.append((w, os.fstat(w).st_ino))
+        return r, w
+
+    def write_msg(fd, obj):
+        if os.getpid() != root:
+            held = sum(w != fd and _holds_write_end(w, ino) for w, ino in made)
+            with open(log, "a") as fh:
+                fh.write(f"{held}\n")
+        return real_write(fd, obj)
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(snap, "_write_msg", write_msg)
+    _explore(MAKERS[name], lambda: unsafe_counter(workers=3, increments=1),
+             snapshots=True)
+    held = [int(n) for n in log.read_text().split()]
+    assert held and sum(held) == 0
 
 
 # -- counters and fallback ---------------------------------------------------

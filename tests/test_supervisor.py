@@ -419,37 +419,38 @@ class TestFaultKinds:
 class TestSnapshotChildRegistry:
     """Satellite regression: parked holders must never outlive the run."""
 
-    def test_fork_call_registers_and_result_unregisters(self):
-        from repro.engine import snapshot as snap
-
-        fut = snap.fork_call(lambda: 42, ())
-        assert fut.pid in snap._live_children
-        assert fut.result() == 42
-        assert fut.pid not in snap._live_children
-
     def test_reap_all_children_kills_abandoned_child(self):
         from repro.engine import snapshot as snap
 
-        fut = snap.fork_call(time.sleep, (60,))
-        pid = fut.pid
+        from .programs import unsafe_counter
+
+        runner = snap.snapshot_dfs(unsafe_counter())
+        pid, go, res = runner._fork()
+        if pid == 0:
+            try:
+                os.read(go, 1)  # parked until woken or the parent is gone
+            finally:
+                os._exit(0)
+        snap._Child(pid, go, res)
         assert pid in snap._live_children
-        # Abnormal teardown: nobody consumes the future.  The atexit
+        # Abnormal teardown: nobody collects the holder.  The atexit
         # backstop (called directly here) must kill and reap the child.
         reaped = snap.reap_all_children()
+        snap._close(go, res)
         assert pid in reaped
         assert not snap._live_children
         assert not _alive(pid)
 
-    def test_holder_leak_on_abnormal_exit_is_reaped(self):
+    def test_holder_leak_on_abnormal_exit_is_reaped(self, monkeypatch):
         # A SnapshotRunner whose consumer dies mid-stream without close():
         # the registry still knows the parked holders.
         from repro.engine import snapshot as snap
 
         from .programs import unsafe_counter
 
-        runner = snap.snapshot_dfs(
-            unsafe_counter(), min_fork_steps=1, procs=1
-        )
+        monkeypatch.setattr(snap, "DEFAULT_MIN_FORK_STEPS", 1)
+        monkeypatch.setattr(snap, "default_procs", lambda: 1)
+        runner = snap.snapshot_dfs(unsafe_counter())
         gen = runner.runs()
         for _ in range(2):
             next(gen)
@@ -466,14 +467,26 @@ class TestSnapshotChildRegistry:
     def test_child_registry_reset_in_children(self):
         from repro.engine import snapshot as snap
 
+        from .programs import unsafe_counter
+
         parent_pid = _fork_sleeper(0.0)
         os.waitpid(parent_pid, 0)
         snap._register_child(parent_pid)
         try:
-            fut = snap.fork_call(lambda: len(snap._live_children), ())
-            # The child saw a cleared registry (its inherited copy listed
-            # a sibling it does not own).
-            assert fut.result() == 0
+            runner = snap.snapshot_dfs(unsafe_counter())
+            pid, go, res = runner._fork()
+            if pid == 0:
+                try:
+                    snap._write_msg(res, len(snap._live_children))
+                finally:
+                    os._exit(0)
+            holder = snap._Child(pid, go, res)
+            try:
+                # The child saw a cleared registry (its inherited copy
+                # listed a sibling it does not own).
+                assert snap._read_msg(res) == 0
+            finally:
+                holder.reap()
         finally:
             snap._unregister_child(parent_pid)
 
@@ -496,9 +509,10 @@ class TestCrossBoundSupervision:
 
                 from .programs import unsafe_counter
 
+                snap.DEFAULT_MIN_FORK_STEPS = 1
+                snap.default_procs = lambda: 1
                 search = snap.SnapshotFrontierSearch(
-                    unsafe_counter(3, 1), PREEMPTION,
-                    procs=1, min_fork_steps=1,
+                    unsafe_counter(3, 1), PREEMPTION
                 )
                 for _ in search.runs_at_bound(0):
                     pass
