@@ -105,13 +105,13 @@ class FrontierSearch:
         cross-bound holders here)."""
 
 
-def _backend(explorer, program: Program, cost_model: BoundCost):
+def _backend(explorer, program: Program, cost_model: Optional[BoundCost]):
     """The search an explorer drains — sharded (``shards > 1``), fork
     snapshots (``snapshots`` where ``os.fork`` exists) or in-process; all
-    enumerate the same records in the same order.  ``NO_BOUND`` asks for
-    the unbounded DFS run stream, any other cost model for the per-bound
+    enumerate the same records in the same order.  ``cost_model=None``
+    asks for the unbounded DFS run stream, a cost model for the per-bound
     frontier search."""
-    unbounded = cost_model is NO_BOUND
+    unbounded = cost_model is None
     opts = dict(
         visible_filter=explorer.visible_filter,
         max_steps=explorer.max_steps,
@@ -137,7 +137,7 @@ def _backend(explorer, program: Program, cost_model: BoundCost):
                 program, cost_model, **opts
             )
     if unbounded:
-        return SubtreeSpec(program, cost_model, **opts).search(None)
+        return SubtreeSpec(program, NO_BOUND, **opts).search(None)
     return FrontierSearch(program, cost_model, **opts)
 
 
@@ -180,7 +180,7 @@ class DFSExplorer(Explorer):
         self.snapshots = snapshots
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
-        dfs = _backend(self, program, NO_BOUND)
+        dfs = _backend(self, program, None)
         try:
             return self._drain(dfs, program, limit)
         finally:
@@ -281,6 +281,8 @@ class IterativeBoundingExplorer(Explorer):
             search.close()
 
     def _search(self, program: Program):
+        """The per-bound search backend (the restart oracle in
+        ``tests/oracles.py`` substitutes its own)."""
         return _backend(self, program, self.cost_model)
 
     def _drain(self, search, stats: ExplorationStats, limit: int) -> ExplorationStats:

@@ -559,7 +559,7 @@ class SnapshotRunner:
         self._holders: List[_Child] = []
         #: Write end of the result pipe this process owes its parent: set
         #: when a holder wakes, closed in every child it forks.
-        self._res_w: Optional[int] = None
+        self._res_w = -1
         #: ``(restored steps, frontier base)`` in a freshly-woken holder:
         #: the flag that diverts the next ``_next()`` return into the
         #: holder drain loop instead of letting the child unwind
@@ -655,10 +655,16 @@ class SnapshotRunner:
     def _fork(self) -> Tuple[int, int, int]:
         """The one fork primitive: a child with a go pipe and a result
         pipe.  Returns like ``os.fork``: ``(pid, go_w, res_r)`` in the
-        parent; ``(0, go_r, res_w)`` in the child, after it has dropped
-        every other inherited resource (:meth:`_drop_inherited`); and
-        ``(-1, -1, -1)`` when no pipe or process can be made, which turns
-        forking off for this runner."""
+        parent, ``(0, go_r, res_w)`` in the child, and ``(-1, -1, -1)``
+        when no pipe or process can be made, which turns forking off for
+        this runner.
+
+        The child owns exactly those two ends: it drops every other
+        inherited parent-side resource at once — registered pids, the
+        parent ends of sibling holders, cross-bound holder fds and the
+        registry's receive socket, and the result pipe the forking
+        process owes its own parent — so pipe EOF and child accounting
+        stay exact."""
         fds: List[int] = []
         try:
             fds.extend(os.pipe())
@@ -669,30 +675,20 @@ class SnapshotRunner:
             self._fork_broken = True
             return -1, -1, -1
         go_r, go_w, res_r, res_w = fds
-        if pid == 0:
-            _close(go_w, res_r)
-            self._drop_inherited()
-            return 0, go_r, res_w
-        _close(go_r, res_w)
-        return pid, go_w, res_r
-
-    def _drop_inherited(self) -> None:
-        """Child side of every fork: drop every inherited parent-side
-        resource — registered pids, the parent ends of sibling holders,
-        cross-bound holder fds and the registry's receive socket, and the
-        result pipe the forking process owes its own parent — so pipe EOF
-        and child accounting stay exact."""
+        if pid:
+            _close(go_r, res_w)
+            return pid, go_w, res_r
+        _close(go_w, res_r, self._res_w)
+        self._res_w = -1
         _reset_child_registry()
         for holder in self._holders:
             _close(holder.go_w, holder.res_r)
         self._holders = []
         if self._cross is not None:
             self._cross.on_child()
-        if self._res_w is not None:
-            _close(self._res_w)
-            self._res_w = None
         self._woke = None
         self._complete = False
+        return 0, go_r, res_w
 
     def _audit_wake(self, step_index: int, kernel, digest) -> None:
         """Woken child, once its follow-on holder is forked: re-anchor the
