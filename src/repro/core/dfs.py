@@ -177,6 +177,7 @@ class PrunedEdge:
         "holder",
         "_order_path",
         "_schedule",
+        "_payload",
     )
 
     def __init__(
@@ -205,6 +206,8 @@ class PrunedEdge:
         self.holder = None
         self._order_path: Optional[Tuple[int, ...]] = None
         self._schedule: Optional[List[int]] = None
+        #: The descriptor this edge was rebuilt from, if any.
+        self._payload: Optional[dict] = None
 
     def _materialize(self) -> None:
         path: List[int] = []
@@ -244,8 +247,11 @@ class PrunedEdge:
 
         Materializes the persistent path: the payload is self-contained, so
         it can cross a process boundary without dragging the parent chain
-        (and the whole search tree) along.
+        (and the whole search tree) along.  An edge rebuilt from a payload
+        returns that payload.
         """
+        if self._payload is not None:
+            return self._payload
         payload = {
             "schedule": list(self.schedule),
             "order_path": list(self.order_path),
@@ -259,11 +265,12 @@ class PrunedEdge:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PrunedEdge":
-        """Rebuild an edge with its path already materialized, so edges
-        recorded *beneath* the rebuilt root (worker frontier edges,
-        chunk-split leftovers) materialize their full absolute
-        ``schedule``/``order_path`` exactly as the originals would, without
-        rebuilding a node per prefix step."""
+        """Rebuild an edge with its path already materialized (sharing the
+        payload's lists: descriptors are never mutated), so edges recorded
+        *beneath* the rebuilt root (worker frontier edges, chunk-split
+        leftovers) materialize their full absolute ``schedule``/
+        ``order_path`` exactly as the originals would, without rebuilding
+        a node per prefix step."""
         sched = payload["schedule"]
         path = payload["order_path"]
         edge = cls(
@@ -275,7 +282,8 @@ class PrunedEdge:
             payload["maxen"],
         )
         edge._order_path = tuple(path)
-        edge._schedule = list(sched)
+        edge._schedule = sched
+        edge._payload = payload
         handle = payload.get("holder")
         if handle is not None:
             edge.holder = (handle[0], handle[1])
