@@ -215,9 +215,9 @@ class PrunedEdge:
         node = self
         while node is not None:
             if node._schedule is not None:
-                # A materialized ancestor (a root rebuilt from a payload):
-                # its path is the rest of the prefix.
-                path.extend(reversed(node._order_path))
+                # A materialized ancestor (e.g. a root rebuilt from a
+                # payload): its path is the rest of the prefix.
+                path.extend(reversed(node.order_path))
                 sched.extend(reversed(node._schedule))
                 break
             path.append(node.order_pos)
@@ -231,6 +231,9 @@ class PrunedEdge:
     @property
     def order_path(self) -> Tuple[int, ...]:
         if self._order_path is None:
+            if self._payload is not None:
+                # Rebuilt from a payload, whose list is the one copy kept.
+                return tuple(self._payload["order_path"])
             self._materialize()
         return self._order_path
 
@@ -265,12 +268,12 @@ class PrunedEdge:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PrunedEdge":
-        """Rebuild an edge with its path already materialized (sharing the
-        payload's lists: descriptors are never mutated), so edges recorded
+        """Rebuild an edge around its payload (descriptors are never
+        mutated, so the edge shares its lists), so edges recorded
         *beneath* the rebuilt root (worker frontier edges, chunk-split
         leftovers) materialize their full absolute ``schedule``/
-        ``order_path`` exactly as the originals would, without rebuilding
-        a node per prefix step."""
+        ``order_path`` exactly as the originals would, without a node per
+        prefix step."""
         sched = payload["schedule"]
         path = payload["order_path"]
         edge = cls(
@@ -281,7 +284,6 @@ class PrunedEdge:
             payload["cp"],
             payload["maxen"],
         )
-        edge._order_path = tuple(path)
         edge._schedule = sched
         edge._payload = payload
         handle = payload.get("holder")
