@@ -19,7 +19,19 @@ from .schedule import delay_increment, preemption_increment
 
 
 class BoundCost:
-    """Incremental cost model for one bounding discipline."""
+    """Incremental cost model for one bounding discipline.
+
+    Ordering contract: at every scheduling point, the increments must not
+    let a candidate the bound prunes come before one it affords in the
+    DFS candidate order (the round-robin default first, then round-robin
+    from the last thread).  So a point's pruned candidates are a suffix of
+    that order, and the bounded DFS can append them to its frontier after
+    all of the point's explored subtrees — DFS order by construction.
+    Every shipped model keeps it: preemption increments are equal for all
+    non-default candidates, delay increments grow along the round-robin
+    order, and ``NoBoundCost`` prunes nothing.  The DFS raises if a model
+    breaks it, as it does when the default candidate is pruned.
+    """
 
     name = "none"
 

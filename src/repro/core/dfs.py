@@ -57,17 +57,16 @@ class _PathNode:
     Chains share structure (each node points at its parent), so recording
     a path costs O(1) — crucial for pruned-edge recording, which happens
     for *every* candidate the bound cuts off.  Paths are materialized into
-    tuples only for the few edges the next bound actually resumes.
+    schedules only for the edges that are resumed or shipped.
     """
 
-    __slots__ = ("parent", "order_pos", "tid")
+    __slots__ = ("parent", "tid")
 
-    #: Only edges carry a materialized path (see PrunedEdge._materialize).
+    #: Only edges carry a materialized path (see PrunedEdge.schedule).
     _schedule = None
 
-    def __init__(self, parent, order_pos: int, tid: int) -> None:
+    def __init__(self, parent, tid: int) -> None:
         self.parent = parent
-        self.order_pos = order_pos
         self.tid = tid
 
 
@@ -79,7 +78,7 @@ class _ChoicePoint:
         "increments",
         "idx",
         "cost_before",
-        "order_positions",
+        "pruned",
         "cp_after",
         "maxen_after",
         "parent_link",
@@ -92,7 +91,7 @@ class _ChoicePoint:
         increments: List[int],
         idx: int,
         cost_before: int,
-        order_positions: List[int],
+        pruned,
         cp_after: int,
         maxen_after: int,
         parent_link,
@@ -101,10 +100,13 @@ class _ChoicePoint:
         self.increments = increments
         self.idx = idx
         self.cost_before = cost_before
-        #: Position of each candidate in the *full* deterministic ordering
-        #: (pruned candidates included).  Bound-independent, so the
-        #: sequence of positions along a path is a stable DFS sort key.
-        self.order_positions = order_positions
+        #: What this point hands on after its explored subtrees, in DFS
+        #: order: the edges the bound pruned here (a suffix of the
+        #: candidate ordering, see :class:`~repro.core.bounds.BoundCost`),
+        #: or the forked holder that took them over
+        #: (:meth:`BoundedDFS.detach_untried`).  They join the frontier
+        #: sink when the point is popped.
+        self.pruned = pruned
         #: Cumulative width statistics of the path through this step
         #: (choice points with >1 enabled thread / max enabled-set width),
         #: used to re-seed run stats when the replay prefix is skipped.
@@ -113,15 +115,11 @@ class _ChoicePoint:
         #: Persistent path up to (excluding) this step; ``link`` extends it
         #: with the *current* choice and is rebuilt on every backtrack.
         self.parent_link = parent_link
-        self.link = _PathNode(parent_link, order_positions[idx], candidates[idx])
+        self.link = _PathNode(parent_link, candidates[idx])
 
     @property
     def chosen(self) -> int:
         return self.candidates[self.idx]
-
-    @property
-    def order_pos(self) -> int:
-        return self.order_positions[self.idx]
 
     @property
     def cost_after(self) -> int:
@@ -130,13 +128,13 @@ class _ChoicePoint:
     def has_untried(self) -> bool:
         return self.idx + 1 < len(self.candidates)
 
-    def edges(self, first: int) -> List["PrunedEdge"]:
-        """The candidates from index ``first`` on as resumable edges —
-        O(1) each: they share the immutable prefix chain."""
-        return [
+    def remainder(self, first: int) -> list:
+        """The candidates from index ``first`` on as resumable edges — O(1)
+        each: they share the immutable prefix chain — followed by the
+        pending pruned edges, in DFS order."""
+        edges = [
             PrunedEdge(
                 self.parent_link,
-                self.order_positions[j],
                 self.candidates[j],
                 self.cost_before + self.increments[j],
                 self.cp_after,
@@ -144,12 +142,15 @@ class _ChoicePoint:
             )
             for j in range(first, len(self.candidates))
         ]
+        edges.extend(self.pruned)
+        return edges
 
     def truncate(self) -> None:
-        """Drop every candidate after the current one."""
+        """Drop every candidate after the current one, and the pruned
+        edges that follow them."""
         del self.candidates[self.idx + 1:]
         del self.increments[self.idx + 1:]
-        del self.order_positions[self.idx + 1:]
+        self.pruned = ()
 
 
 class PrunedEdge:
@@ -157,40 +158,36 @@ class PrunedEdge:
     the search beneath it at a later (higher) bound.
 
     The edge doubles as the terminal :class:`_PathNode` of its path
-    (``parent``/``order_pos``/``tid`` slots), so recording one is O(1);
-    ``order_path`` and ``schedule`` materialize the chain on first use.
+    (``parent``/``tid`` slots), so recording one is O(1); ``schedule``
+    materializes the chain on first use — only for the edges a later
+    bound resumes or a process boundary ships.
 
-    ``order_path`` is the sequence of full-ordering positions from the
-    root through the pruned candidate; lexicographic order on it equals
-    the DFS visiting order of the whole tree at *any* bound, which is what
-    lets :class:`repro.core.iterative.FrontierSearch` enumerate resumed
+    Edges carry no sort key: every list of them (a frontier, a split
+    remainder, a holder's share) is in DFS visiting order by
+    construction, which is what lets
+    :class:`repro.core.iterative.FrontierSearch` enumerate resumed
     schedules in exactly the order a from-scratch search would.
     """
 
     __slots__ = (
         "parent",
-        "order_pos",
         "tid",
         "cost_after",
         "cp",
         "maxen",
         "holder",
-        "_order_path",
         "_schedule",
-        "_payload",
     )
 
     def __init__(
         self,
         parent,
-        order_pos: int,
         tid: int,
         cost_after: int,
         cp: int,
         maxen: int,
     ) -> None:
         self.parent = parent
-        self.order_pos = order_pos
         self.tid = tid
         #: Cumulative bound cost including the pruned step — the smallest
         #: bound at which this edge becomes explorable.
@@ -204,60 +201,39 @@ class PrunedEdge:
         #: subtree without replaying the prefix.  Pure acceleration: the
         #: edge stays fully replayable without it.
         self.holder = None
-        self._order_path: Optional[Tuple[int, ...]] = None
         self._schedule: Optional[List[int]] = None
-        #: The descriptor this edge was rebuilt from, if any.
-        self._payload: Optional[dict] = None
-
-    def _materialize(self) -> None:
-        path: List[int] = []
-        sched: List[int] = []
-        node = self
-        while node is not None:
-            if node._schedule is not None:
-                # A materialized ancestor (e.g. a root rebuilt from a
-                # payload): its path is the rest of the prefix.
-                path.extend(reversed(node.order_path))
-                sched.extend(reversed(node._schedule))
-                break
-            path.append(node.order_pos)
-            sched.append(node.tid)
-            node = node.parent
-        path.reverse()
-        sched.reverse()
-        self._order_path = tuple(path)
-        self._schedule = sched
-
-    @property
-    def order_path(self) -> Tuple[int, ...]:
-        if self._order_path is None:
-            if self._payload is not None:
-                # Rebuilt from a payload, whose list is the one copy kept.
-                return tuple(self._payload["order_path"])
-            self._materialize()
-        return self._order_path
 
     @property
     def schedule(self) -> List[int]:
         """Replayable prefix: the path to the pruning point plus the pruned
-        candidate itself as the final step."""
+        candidate itself as the final step.  Never mutated, so rebuilt
+        edges and payloads share it."""
         if self._schedule is None:
-            self._materialize()
+            sched: List[int] = []
+            node = self
+            while node is not None:
+                if node._schedule is not None:
+                    # A materialized ancestor (e.g. a resumed root): its
+                    # schedule is the rest of the prefix.
+                    sched.extend(reversed(node._schedule))
+                    break
+                sched.append(node.tid)
+                node = node.parent
+            sched.reverse()
+            self._schedule = sched
+            # The schedule now stands for the whole chain: let the
+            # nodes only this edge kept alive go.
+            self.parent = None
         return self._schedule
 
     def to_payload(self) -> dict:
         """JSON-/pickle-safe shard descriptor (see :mod:`repro.core.sharding`).
 
-        Materializes the persistent path: the payload is self-contained, so
-        it can cross a process boundary without dragging the parent chain
-        (and the whole search tree) along.  An edge rebuilt from a payload
-        returns that payload.
+        Self-contained, so it can cross a process boundary without
+        dragging the parent chain (and the whole search tree) along.
         """
-        if self._payload is not None:
-            return self._payload
         payload = {
-            "schedule": list(self.schedule),
-            "order_path": list(self.order_path),
+            "schedule": self.schedule,
             "cost_after": self.cost_after,
             "cp": self.cp,
             "maxen": self.maxen,
@@ -268,47 +244,87 @@ class PrunedEdge:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PrunedEdge":
-        """Rebuild an edge around its payload (descriptors are never
-        mutated, so the edge shares its lists), so edges recorded
-        *beneath* the rebuilt root (worker frontier edges, chunk-split
-        leftovers) materialize their full absolute ``schedule``/
-        ``order_path`` exactly as the originals would, without a node per
+        """Rebuild an edge around its payload's schedule (shared, not
+        copied), so edges recorded *beneath* the rebuilt root (worker
+        frontier edges, split leftovers) materialize their full absolute
+        ``schedule`` exactly as the originals would, without a node per
         prefix step."""
         sched = payload["schedule"]
-        path = payload["order_path"]
         edge = cls(
             None,
-            path[-1],
             sched[-1],
             payload["cost_after"],
             payload["cp"],
             payload["maxen"],
         )
         edge._schedule = sched
-        edge._payload = payload
         handle = payload.get("holder")
         if handle is not None:
             edge.holder = (handle[0], handle[1])
         return edge
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PrunedEdge(len={len(self.schedule)}, cost={self.cost_after})"
-        )
+        return f"PrunedEdge(tid={self.tid}, cost={self.cost_after})"
 
 
-def unlock(
-    frontier: List[PrunedEdge], bound: int
-) -> Tuple[List[PrunedEdge], List[PrunedEdge]]:
-    """``(unlocked, locked)``: the frontier edges ``bound`` affords, in
-    DFS order, and the rest.  ``order_path`` is bound-independent and
-    resumed subtrees are disjoint, so sorting their roots enumerates
-    schedules exactly as a restart pass would encounter the new ones."""
-    unlocked = [e for e in frontier if e.cost_after <= bound]
-    if unlocked:
-        frontier = [e for e in frontier if e.cost_after > bound]
-        unlocked.sort(key=lambda e: e.order_path)
-    return unlocked, frontier
+def affords(bound: Optional[int], edge: PrunedEdge) -> bool:
+    """Whether ``bound`` lets the search resume beneath ``edge``."""
+    return bound is None or edge.cost_after <= bound
+
+
+class Frontier(list):
+    """A frontier search's pruned-edge list, in DFS order by construction.
+
+    Keeps only the first ``2 × limit`` edges of each ``cost_after`` value
+    (all of them when ``limit`` is ``None``), which is exact: an explorer
+    stops after ``limit`` schedules or ``limit`` abandoned runs, every
+    resumed edge yields at least one run, and a bound resumes the edges of
+    its cost in list order, so no later edge of a cost can ever be
+    resumed.  A cost's first edge is always kept, so the list is
+    non-empty exactly when the uncapped one would be.  ``dropped`` counts
+    the edges left out.
+    """
+
+    __slots__ = ("cap", "dropped", "_kept")
+
+    def __init__(self, limit: Optional[int] = None) -> None:
+        super().__init__()
+        self.cap = None if limit is None else 2 * max(1, limit)
+        self.dropped = 0
+        self._kept: Dict[int, int] = {}
+
+    def append(self, edge: PrunedEdge) -> None:
+        self.extend((edge,))
+
+    def extend(self, edges) -> None:
+        if self.cap is None:
+            super().extend(edges)
+            return
+        kept = self._kept
+        for edge in edges:
+            n = kept.get(edge.cost_after, 0)
+            if n < self.cap:
+                kept[edge.cost_after] = n + 1
+                super().append(edge)
+            else:
+                self.dropped += 1
+
+
+def in_order(
+    remainder: List[PrunedEdge], bound: Optional[int], frontier: list
+) -> Iterator[PrunedEdge]:
+    """Walk an ordered remainder front to back: yield each edge ``bound``
+    affords (a subtree to run — the caller runs it before asking for the
+    next one) and append every other edge to ``frontier`` at its
+    position.  Consumes ``remainder`` as it goes, so walked edges are
+    released."""
+    remainder.reverse()
+    while remainder:
+        edge = remainder.pop()
+        if affords(bound, edge):
+            yield edge
+        else:
+            frontier.append(edge)
 
 
 class RunRecord:
@@ -383,8 +399,7 @@ class _DFSStrategy(SchedulerStrategy):
             # Remaining candidates in round-robin order from last_tid, a
             # fixed deterministic order independent of the bound (it only
             # affects which schedule is found first, not the enumerated
-            # set) — which is what makes ordering positions a stable DFS
-            # sort key across bounds.
+            # set), so the DFS visiting order is the same at every bound.
             enabled_set = set(enabled)
             for off in range(n):
                 tid = (last_tid + off) % n
@@ -404,34 +419,39 @@ class _DFSStrategy(SchedulerStrategy):
         bound = dfs.bound
         candidates: List[int] = []
         increments: List[int] = []
-        positions: List[int] = []
         pruned_here: Optional[List[PrunedEdge]] = None
-        prune_hook = dfs.prune_hook
+        cut = False
         for pos, tid in enumerate(ordered):
             inc = all_increments[pos]
             if bound is not None and cost_before + inc > bound:
-                dfs._pruned_this_run = True
-                frontier = dfs.frontier
-                if frontier is not None:
+                cut = True
+                if dfs.frontier is not None:
                     edge = PrunedEdge(
                         parent_link,
-                        pos,
                         tid,
                         cost_before + inc,
                         cp_here,
                         maxen_here,
                     )
-                    frontier.append(edge)
-                    if prune_hook is not None:
-                        if pruned_here is None:
-                            pruned_here = [edge]
-                        else:
-                            pruned_here.append(edge)
+                    if pruned_here is None:
+                        pruned_here = [edge]
+                    else:
+                        pruned_here.append(edge)
                 continue
+            if cut:
+                # The pruned edges wait on the pushed point and join the
+                # frontier when it is popped, after all its explored
+                # subtrees — DFS order only if they are a suffix.
+                raise AssertionError(
+                    f"cost model {cost.name!r} pruned a candidate ahead of "
+                    "an affordable one (see BoundCost)"
+                )
             candidates.append(tid)
             increments.append(inc)
-            positions.append(pos)
-        if pruned_here is not None:
+        if cut:
+            dfs._pruned_this_run = True
+        prune_hook = dfs.prune_hook
+        if pruned_here is not None and prune_hook is not None:
             resumed = prune_hook(pruned_here, step_index, kernel)
             if resumed is not None:
                 # Freshly woken cross-bound holder (engine/snapshot.py):
@@ -451,7 +471,7 @@ class _DFSStrategy(SchedulerStrategy):
                 increments,
                 0,
                 cost_before,
-                positions,
+                pruned_here or (),
                 cp_here,
                 maxen_here,
                 parent_link,
@@ -461,10 +481,11 @@ class _DFSStrategy(SchedulerStrategy):
         if hook is not None and len(candidates) > 1:
             # Snapshot capture (engine/snapshot.py): if the point is deep
             # enough, the current process forks one parked holder owning
-            # every untried sibling and truncates the point to its default
-            # candidate; a freshly-woken holder instead retargets it at
-            # *its* first sibling.  Either way the point's selection after
-            # the hook is what this run executes.
+            # every untried sibling (and the point's pruned edges) and
+            # truncates the point to its default candidate; a freshly-
+            # woken holder instead retargets it at *its* first sibling.
+            # Either way the point's selection after the hook is what this
+            # run executes.
             hook(stack[-1], step_index, kernel)
             cp = stack[-1]
             return cp.candidates[cp.idx]
@@ -487,7 +508,9 @@ class BoundedDFS:
         enumerated.  Used by iterative bounding's frontier resumption.
     frontier:
         A list that collects a :class:`PrunedEdge` for every candidate the
-        bound cuts off (append-only sink, shared across subtrees).
+        bound cuts off (append-only sink, shared across subtrees).  A
+        point's pruned edges join it when the point is popped, after all
+        of its explored subtrees, so the sink is in DFS order.
     order_cache:
         Interning table for candidate orderings + cost increments, shared
         across runs and bounds (they are pure functions of the scheduling
@@ -553,7 +576,7 @@ class BoundedDFS:
 
     def _set_root(self, root: Optional[PrunedEdge]) -> None:
         if root is not None:
-            self._root_schedule = list(root.schedule)
+            self._root_schedule = root.schedule
             self._root_node = root
             self._root_cost = root.cost_after
             self._root_cp = root.cp
@@ -623,37 +646,39 @@ class BoundedDFS:
                 replay_len = next_replay
             yield record
 
-    def split_remaining(self) -> List[PrunedEdge]:
+    def split_remaining(self) -> list:
         """Detach every unexplored continuation as resumable edges.
 
         Valid between :meth:`runs` yields (backtracking is eager, so the
-        stack already describes the *next* run): the remaining work is
-        exactly
+        stack already describes the *next* run): the remaining work is,
+        deepest point first,
 
         - the current (not yet executed) candidate and everything after it
           at the deepest choice point, and
         - every candidate *after* the current one at each shallower choice
           point (the current ones are interior to the detached subtrees
-          below).
+          below),
 
-        Each becomes a :class:`PrunedEdge` rooted at that choice point's
-        persistent path — the same descriptor shape frontier resumption
-        uses, so a worker resumes it verbatim.  The returned list is in
-        ascending ``order_path`` (DFS) order: deeper edges extend the
-        prefix through the *current* choice at every shallower point, and
-        the current choice precedes every untried sibling, so emitting
-        deepest-first reproduces the serial visiting order exactly.  The
-        search itself becomes ``exhausted``: ownership of the remainder
-        transfers to the caller.
+        each point's share followed by its pending pruned edges.  Each
+        candidate becomes a :class:`PrunedEdge` rooted at that choice
+        point's persistent path — the same descriptor shape frontier
+        resumption uses, so a worker resumes it verbatim.  The list is in
+        DFS order: deeper edges extend the prefix through the *current*
+        choice at every shallower point, and a point's pruned candidates
+        follow its affordable ones.  So it is an *ordered remainder*: a
+        consumer runs each edge the bound affords in turn and lets every
+        other edge join its frontier where it stands.  The search itself
+        becomes ``exhausted``: ownership of the remainder transfers to the
+        caller.
         """
         if self._exhausted or not self._stack:
             return []
-        edges: List[PrunedEdge] = []
+        edges: list = []
         stack = self._stack
         for depth in range(len(stack) - 1, -1, -1):
             cp = stack[depth]
             edges.extend(
-                cp.edges(cp.idx if depth == len(stack) - 1 else cp.idx + 1)
+                cp.remainder(cp.idx if depth == len(stack) - 1 else cp.idx + 1)
             )
         self._stack = []
         self._exhausted = True
@@ -666,18 +691,23 @@ class BoundedDFS:
         """Choice points on the current path (the next run's stack)."""
         return len(self._stack)
 
-    def detach_untried(self, cp: _ChoicePoint) -> List[PrunedEdge]:
-        """Hand ``cp``'s untried candidates to a forked holder as edges;
-        this search keeps only the current one."""
-        edges = cp.edges(cp.idx + 1)
+    def detach_untried(self, cp: _ChoicePoint, owner) -> List[PrunedEdge]:
+        """Hand ``cp``'s remainder — its untried candidates, then its
+        pending pruned edges — to a forked holder as edges; this search
+        keeps only the current candidate, and ``owner`` (the holder's
+        handle) stands where the remainder was: it reaches the frontier
+        sink when ``cp`` is popped, and :meth:`split_remaining` at
+        ``cp``'s depth."""
+        edges = cp.remainder(cp.idx + 1)
         cp.truncate()
+        cp.pruned = [owner]
         return edges
 
     def resume_sibling(self, cp: _ChoicePoint) -> None:
-        """In a woken holder, which owns ``cp``'s untried candidates (the
-        newest point): drop the forking process's candidate, select the
-        first sibling, and leave every shallower point's untried
-        candidates to the forking process.
+        """In a woken holder, which owns ``cp``'s remainder (the newest
+        point): drop the forking process's candidate, select the first
+        sibling, and leave every shallower point's untried candidates and
+        pruned edges to the forking process.
 
         The inherited per-run pruning flag belongs to the forking
         process's run (pruning before the fork point); a serial sibling
@@ -686,10 +716,8 @@ class BoundedDFS:
         self._pruned_this_run = False
         del cp.candidates[0]
         del cp.increments[0]
-        del cp.order_positions[0]
         cp.idx = 0
-        cp.link = _PathNode(cp.parent_link, cp.order_positions[0],
-                            cp.candidates[0])
+        cp.link = _PathNode(cp.parent_link, cp.candidates[0])
         for point in self._stack[:-1]:
             point.truncate()
 
@@ -699,26 +727,30 @@ class BoundedDFS:
         minus its final entry, and that entry runs next as the new root's
         last step.  Its width-stat re-seed base was fixed before the run
         started (:attr:`_reseed`) and covers the shared prefix exactly,
-        so only tree state changes."""
+        so only tree state changes: the inherited stack, with the forking
+        process's pending edges, is dropped."""
         self.bound = bound
         self._set_root(edge)
         self._stack = []
         self._exhausted = False
         self._pruned_this_run = False
-        self.frontier = []
 
     def _backtrack(self) -> Optional[int]:
         """Advance the deepest choice point with an untried candidate.
 
-        Returns the new replay length, or ``None`` when exploration is
-        complete.
+        Every point popped on the way hands its pruned edges to the
+        frontier sink.  Returns the new replay length, or ``None`` when
+        exploration is complete.
         """
         stack = self._stack
+        sink = self.frontier
         while stack:
             top = stack[-1]
             if top.has_untried():
                 top.idx += 1
-                top.link = _PathNode(top.parent_link, top.order_pos, top.chosen)
+                top.link = _PathNode(top.parent_link, top.chosen)
                 return len(stack)
             stack.pop()
+            if top.pruned and sink is not None:
+                sink.extend(top.pruned)
         return None

@@ -19,27 +19,28 @@ Accounting matches Table 3:
 The per-bound search is :class:`FrontierSearch` — frontier resumption:
 bound ``c``'s search records every candidate the bound pruned
 (:class:`PrunedEdge`), and bound ``c + 1`` replays the minimal prefix to
-each unlocked edge and searches only beneath it.  Every terminal schedule
-is executed exactly once across all bounds.  The enumerated set *and
-order* are identical to the classic restart-per-bound search (a fresh
-:class:`~repro.core.dfs.BoundedDFS` per bound, re-executing every schedule
-of cost < ``c``, as CHESS does; the paper treats that re-execution as
-implementation cost, not a metric): pruned edges sort by their
-bound-independent ``order_path``, so all Table 3 accounting is
-byte-identical and only ``executions`` and wall-clock shrink.  The restart
-search survives as the equivalence oracle in ``tests/oracles.py``.
+each edge the new bound affords and searches only beneath it.  Every
+terminal schedule is executed exactly once across all bounds.  The
+enumerated set *and order* are identical to the classic restart-per-bound
+search (a fresh :class:`~repro.core.dfs.BoundedDFS` per bound,
+re-executing every schedule of cost < ``c``, as CHESS does; the paper
+treats that re-execution as implementation cost, not a metric): the
+frontier is kept in DFS order by
+construction, so all Table 3 accounting is byte-identical and only
+``executions`` and wall-clock shrink.  The restart search survives as the
+equivalence oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from ..engine.executor import DEFAULT_MAX_STEPS
 from ..engine.state import VisibleFilter
 from ..runtime.program import Program
 from .bounds import DELAY, NO_BOUND, PREEMPTION, BoundCost
 from .budget import Budget
-from .dfs import PrunedEdge, RunRecord, unlock
+from .dfs import Frontier, PrunedEdge, RunRecord, in_order
 from .explorer import BugReport, EngineCounters, ExplorationStats, Explorer
 from .sharding import ShardedDFS, ShardedFrontierSearch, SubtreeSpec
 
@@ -48,20 +49,29 @@ class FrontierSearch:
     """Frontier-resuming backend: never re-executes an enumerated subtree.
 
     The first bound runs a full bounded DFS that records every pruned
-    candidate as a :class:`PrunedEdge`.  Each later bound takes the edges
-    whose cost the new bound affords, sorts them into DFS order (their
-    ``order_path`` is bound-independent), and searches only the subtree
-    beneath each — replaying the minimal prefix via the executor's replay
-    fast path.  Edges still beyond the bound stay in the frontier.
+    candidate as a :class:`PrunedEdge`.  Each later bound walks the
+    frontier in order, searches the subtree beneath every edge whose cost
+    the new bound affords — replaying the minimal prefix via the
+    executor's replay fast path — and keeps every other edge where it
+    stands.
 
-    Every schedule reached through an unlocked edge has cost exactly the
-    current bound (the prefix spends the whole budget; within-bound
-    continuations are free), which is precisely the "new at bound ``c``"
-    set a restart-per-bound search discovers among its re-executions — in
-    the same order, because disjoint subtrees sort the same way their
-    roots do.  ``pruned_at_bound`` is the frontier's non-emptiness:
-    exactly the restart search's "anything pruned this bound" signal,
-    since a carried-over locked edge is re-pruned by every restart pass.
+    The frontier is in DFS order by construction: a choice point's pruned
+    edges join it when the search pops the point, after all of the
+    point's explored subtrees, and a resumed edge's new edges land where
+    it stood.  Every schedule reached through a resumed edge has cost
+    exactly the current bound (the prefix spends the whole budget;
+    within-bound continuations are free), which is precisely the "new at
+    bound ``c``" set a restart-per-bound search discovers among its
+    re-executions — in the same order, because the walk visits disjoint
+    subtrees in DFS order.  ``pruned_at_bound`` is the frontier's
+    non-emptiness: exactly the restart search's "anything pruned this
+    bound" signal, since a carried-over locked edge is re-pruned by every
+    restart pass.
+
+    ``limit`` is the explorer's schedule limit: the frontier keeps only
+    the edges of each cost that a run under it can still resume
+    (:class:`~repro.core.dfs.Frontier`), so its memory is O(limit), not
+    O(executions).
     """
 
     def __init__(
@@ -73,6 +83,7 @@ class FrontierSearch:
         max_steps: int = DEFAULT_MAX_STEPS,
         spurious_wakeups: int = 0,
         budget: Optional[Budget] = None,
+        limit: Optional[int] = None,
     ) -> None:
         self.spec = SubtreeSpec(
             program,
@@ -82,7 +93,8 @@ class FrontierSearch:
             spurious_wakeups=spurious_wakeups,
             budget=budget,
         )
-        self._frontier: List[PrunedEdge] = []
+        self._limit = limit
+        self._frontier = Frontier(limit)
         self._started = False
 
     def _subtree(self, bound: int, root: Optional[PrunedEdge]):
@@ -93,9 +105,9 @@ class FrontierSearch:
             self._started = True
             yield from self._subtree(bound, None).runs()
             return
-        unlocked, self._frontier = unlock(self._frontier, bound)
-        for entry in unlocked:
-            yield from self._subtree(bound, entry).runs()
+        old, self._frontier = self._frontier, Frontier(self._limit)
+        for edge in in_order(old, bound, self._frontier):
+            yield from self._subtree(bound, edge).runs()
 
     def pruned_at_bound(self) -> bool:
         return bool(self._frontier)
@@ -105,12 +117,18 @@ class FrontierSearch:
         cross-bound holders here)."""
 
 
-def _backend(explorer, program: Program, cost_model: Optional[BoundCost]):
+def _backend(
+    explorer,
+    program: Program,
+    cost_model: Optional[BoundCost],
+    limit: Optional[int] = None,
+):
     """The search an explorer drains — sharded (``shards > 1``), fork
     snapshots (``snapshots`` where ``os.fork`` exists) or in-process; all
     enumerate the same records in the same order.  ``cost_model=None``
     asks for the unbounded DFS run stream, a cost model for the per-bound
-    frontier search."""
+    frontier search, which keeps only the frontier ``limit`` schedules can
+    reach."""
     unbounded = cost_model is None
     opts = dict(
         visible_filter=explorer.visible_filter,
@@ -126,7 +144,7 @@ def _backend(explorer, program: Program, cost_model: Optional[BoundCost]):
         )
         if unbounded:
             return ShardedDFS(program, **opts)
-        return ShardedFrontierSearch(program, cost_model, **opts)
+        return ShardedFrontierSearch(program, cost_model, limit=limit, **opts)
     if explorer.snapshots:
         from ..engine import snapshot as snapshot_mod
 
@@ -134,11 +152,11 @@ def _backend(explorer, program: Program, cost_model: Optional[BoundCost]):
             if unbounded:
                 return snapshot_mod.snapshot_dfs(program, **opts)
             return snapshot_mod.SnapshotFrontierSearch(
-                program, cost_model, **opts
+                program, cost_model, limit=limit, **opts
             )
     if unbounded:
         return SubtreeSpec(program, NO_BOUND, **opts).search(None)
-    return FrontierSearch(program, cost_model, **opts)
+    return FrontierSearch(program, cost_model, limit=limit, **opts)
 
 
 class DFSExplorer(Explorer):
@@ -274,16 +292,17 @@ class IterativeBoundingExplorer(Explorer):
         stats = ExplorationStats(self.technique, program.name, limit)
         if self.counters:
             stats.counters = EngineCounters()
-        search = self._search(program)
+        search = self._search(program, limit)
         try:
             return self._drain(search, stats, limit)
         finally:
             search.close()
 
-    def _search(self, program: Program):
-        """The per-bound search backend (the restart oracle in
-        ``tests/oracles.py`` substitutes its own)."""
-        return _backend(self, program, self.cost_model)
+    def _search(self, program: Program, limit: int):
+        """The per-bound search backend for an exploration of at most
+        ``limit`` schedules (the restart oracle in ``tests/oracles.py``
+        substitutes its own)."""
+        return _backend(self, program, self.cost_model, limit)
 
     def _drain(self, search, stats: ExplorationStats, limit: int) -> ExplorationStats:
         program_name = stats.program_name

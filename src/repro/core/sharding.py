@@ -9,16 +9,18 @@ byte-identical to the serial run:
 
 **Systematic techniques (DFS / IPB / IDB).**  Frontier resumption
 (:class:`repro.core.iterative.FrontierSearch`) already represents
-unexplored work as :class:`~repro.core.dfs.PrunedEdge` subtrees that
-resume in bound-independent DFS order.  A *shard descriptor* is exactly
-one such edge, serialized (:meth:`PrunedEdge.to_payload`).  The parent
-executes run #1 of a bound in-process, detaches the rest of the tree
-with :meth:`BoundedDFS.split_remaining`, and distributes the descriptors
-— an exact disjoint partition of the remaining subtree — to a process
-pool.  Workers stream back trimmed run summaries plus any frontier edges
-their bound pruned; the parent emits summaries in ascending
-``order_path`` order, which *is* the serial DFS visiting order, so the
-merged stream feeds the unmodified explorer accounting loops and every
+unexplored work as :class:`~repro.core.dfs.PrunedEdge` subtrees kept in
+DFS order.  A *shard descriptor* is exactly one such edge, serialized
+(:meth:`PrunedEdge.to_payload`).  The parent executes run #1 of a bound
+in-process, detaches the rest of the tree with
+:meth:`BoundedDFS.split_remaining` — an ordered remainder: an exact
+disjoint partition of the remaining subtree, with the bound's pending
+pruned edges in place — and distributes the descriptors the bound
+affords to a process pool; every other edge joins the frontier where it
+stands.  Workers stream back trimmed run summaries plus the frontier
+edges their bound pruned, in DFS order; the parent emits summaries in
+remainder order, which *is* the serial DFS visiting order, so the merged
+stream feeds the unmodified explorer accounting loops and every
 ``ExplorationStats.as_dict()`` field matches the serial run by
 construction.  (Only the opt-in ``EngineCounters.replayed_steps``
 telemetry differs: a worker's first run replays its full root prefix
@@ -52,6 +54,8 @@ worker.
 from __future__ import annotations
 
 import hashlib
+import pickle
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -61,7 +65,7 @@ from ..engine.trace import Outcome
 from ..runtime.errors import MisuseReport
 from ..runtime.program import Program
 from .bounds import DELAY, NO_BOUND, PREEMPTION, BoundCost
-from .dfs import BoundedDFS, OrderCache, PrunedEdge, RunRecord, unlock
+from .dfs import BoundedDFS, Frontier, OrderCache, PrunedEdge, RunRecord, affords
 
 #: Default per-task run budget before a worker splits its remainder.
 DEFAULT_SPLIT_RUNS = 64
@@ -142,7 +146,10 @@ _PROGRAM_CACHE: dict = {}
 
 
 def _cached_program(source) -> Program:
-    key = source if isinstance(source, tuple) else id(source)
+    # Keyed by the pickled source: every pool task unpickles a fresh
+    # source object, so identity would miss on every task (and an id
+    # reused after garbage collection could name another source).
+    key = pickle.dumps(source, protocol=pickle.HIGHEST_PROTOCOL)
     program = _PROGRAM_CACHE.get(key)
     if program is None:
         program = resolve_program(source)
@@ -382,11 +389,12 @@ def _subtree_worker(
 
     Returns ``(runs, frontier, leftovers, exhausted)`` where ``runs`` is
     a list of ``(RunSummary, cost, pruned_any)`` in DFS order,
-    ``frontier`` the payloads of every edge the bound pruned while
-    exploring, ``leftovers`` the descriptors of work given back after the
-    ``split_runs`` budget ran out, and ``exhausted`` whether the subtree
-    was fully enumerated.  A spec unpickled in a pool worker resolves its
-    program here.
+    ``frontier`` the payloads of the edges the bound pruned at points the
+    search finished, in DFS order, ``leftovers`` the ordered remainder
+    given back after the ``split_runs`` budget ran out (untried work and
+    the pending pruned edges in place, all after ``frontier``), and
+    ``exhausted`` whether the subtree was fully enumerated.  A spec
+    unpickled in a pool worker resolves its program here.
 
     ``cross`` (inline mode only — fds don't cross the pool boundary) is
     the search's :class:`repro.engine.snapshot.CrossBoundRegistry`: if
@@ -522,12 +530,12 @@ def _pct_shard_worker(
 
 
 class _ShardItem:
-    """One worklist entry: a descriptor and, eventually, its result."""
+    """One worklist entry: an edge and, once dispatched, its result."""
 
-    __slots__ = ("payload", "future", "result")
+    __slots__ = ("edge", "future", "result")
 
-    def __init__(self, payload: dict) -> None:
-        self.payload = payload
+    def __init__(self, edge: PrunedEdge) -> None:
+        self.edge = edge
         self.future = None
         self.result = None
 
@@ -651,35 +659,47 @@ class ShardedSearchBase:
         want_frontier: bool,
         on_last: Optional[Callable[[], None]] = None,
     ) -> Iterator[RunRecord]:
-        """Dispatch descriptors and emit their runs in exact DFS order.
+        """Walk an ordered remainder: dispatch each edge the bound affords
+        and emit its runs in exact DFS order; every other edge joins
+        ``self._frontier`` where it stands.
 
-        ``roots`` must already be in ascending ``order_path`` order
-        (``split_remaining`` and the sorted frontier both are); they
-        become payloads here, at the pool boundary.  The head item's runs
-        are emitted the moment its result arrives; leftovers from a split
-        are spliced *in place of* the head — they are interior to its
-        subtree, so order is preserved.  Out-of-order completions are
-        buffered.  Frontier edges the workers report join
-        ``self._frontier``.  ``on_last`` fires just before the final
+        ``roots`` (``split_remaining``'s output or the old frontier) is
+        consumed as the walk goes; edges become payloads here, at the pool
+        boundary.  The head item's runs are emitted the moment its result
+        arrives, after its frontier payloads join ``self._frontier``;
+        leftovers from a split are walked *in place of* the head — they
+        are interior to its subtree, so order is preserved.  Out-of-order
+        completions are buffered.  ``on_last`` fires just before the final
         record of the final item is yielded (the sharded analogue of the
         serial search's eager backtracking: ``exhausted`` is accurate at
         every yield).
         """
-        items = [_ShardItem(edge.to_payload()) for edge in roots]
+        roots.reverse()  # pop() walks it front to back
+        window: deque = deque()  # reached items, head first
+        waiting: deque = deque()  # reached affordable items not yet sent
         in_flight: dict = {}
-        emit_idx = 0
         try:
-            while emit_idx < len(items):
-                # Keep the earliest undispatched descriptors in flight.
-                for item in items[emit_idx:]:
-                    if len(in_flight) >= self.shards:
+            while window or roots:
+                # Keep the earliest undispatched affordable edges in flight.
+                while len(in_flight) < self.shards:
+                    if waiting:
+                        item = waiting.popleft()
+                    elif roots:
+                        item = _ShardItem(roots.pop())
+                        window.append(item)
+                        if not affords(bound, item.edge):
+                            continue
+                    else:
                         break
-                    if item.future is None and item.result is None:
-                        item.future = self._submit(
-                            bound, item.payload, want_frontier
-                        )
-                        in_flight[item.future] = item
-                head = items[emit_idx]
+                    item.future = self._submit(
+                        bound, item.edge.to_payload(), want_frontier
+                    )
+                    in_flight[item.future] = item
+                head = window[0]
+                if not affords(bound, head.edge):
+                    window.popleft()
+                    self._frontier.append(head.edge)
+                    continue
                 if head.result is None:
                     done, _ = wait(
                         set(in_flight), return_when=FIRST_COMPLETED
@@ -689,6 +709,7 @@ class ShardedSearchBase:
                         item.result = fut.result()
                         item.future = None
                     continue
+                window.popleft()
                 runs, frontier, leftovers, exhausted = head.result
                 head.result = None  # free early; emitted below
                 if frontier:
@@ -696,11 +717,15 @@ class ShardedSearchBase:
                         PrunedEdge.from_payload(p) for p in frontier
                     )
                 if leftovers:
-                    items[emit_idx + 1 : emit_idx + 1] = [
-                        _ShardItem(p) for p in leftovers
+                    items = [
+                        _ShardItem(PrunedEdge.from_payload(p))
+                        for p in leftovers
                     ]
-                emit_idx += 1
-                last_item = emit_idx == len(items)
+                    window.extendleft(reversed(items))
+                    waiting.extendleft(
+                        reversed([i for i in items if affords(bound, i.edge)])
+                    )
+                last_item = not window and not roots
                 for i, (summary, cost, pruned_any) in enumerate(runs):
                     if (
                         last_item
@@ -744,18 +769,28 @@ class ShardedFrontierSearch(ShardedSearchBase):
 
     Same search-backend protocol as
     :class:`repro.core.iterative.FrontierSearch` (``runs_at_bound`` /
-    ``pruned_at_bound`` / ``close``), same enumerated set and
-    order: at bound 0 the parent executes run #1 in-process with the
+    ``pruned_at_bound`` / ``close``), same enumerated set, order and
+    frontier: at bound 0 the parent executes run #1 in-process with the
     frontier as its sink and distributes the rest of the tree; at later
-    bounds the unlocked frontier edges *are* the shard descriptors.
-    Workers ship the edges their bound pruned back as payloads; disjoint
-    subtrees never duplicate an edge, so the union is exactly the serial
-    frontier.
+    bounds the walk over the old frontier dispatches the edges the bound
+    affords as shard descriptors and keeps the others where they stand.
+    Workers ship the edges their bound pruned back as payloads, in DFS
+    order; disjoint subtrees never duplicate an edge, so the union is
+    exactly the serial frontier, in the serial order.  ``limit`` caps it
+    exactly as the serial frontier is capped.
     """
 
-    def __init__(self, program: Program, cost_model: BoundCost, **kwargs) -> None:
+    def __init__(
+        self,
+        program: Program,
+        cost_model: BoundCost,
+        *,
+        limit: Optional[int] = None,
+        **kwargs,
+    ) -> None:
         super().__init__(program, cost_model, **kwargs)
-        self._frontier: List[PrunedEdge] = []
+        self._limit = limit
+        self._frontier = Frontier(limit)
         self._started = False
         if self.spec.snapshots and self.inline:
             from ..engine import snapshot as snapshot_mod
@@ -772,9 +807,8 @@ class ShardedFrontierSearch(ShardedSearchBase):
             self._started = True
             yield from self._split_and_drive(bound, self._frontier)
             return
-        unlocked, self._frontier = unlock(self._frontier, bound)
-        if unlocked:
-            yield from self._drive(bound, unlocked, want_frontier=True)
+        old, self._frontier = self._frontier, Frontier(self._limit)
+        yield from self._drive(bound, old, want_frontier=True)
 
     def pruned_at_bound(self) -> bool:
         return bool(self._frontier)

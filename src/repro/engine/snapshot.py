@@ -91,7 +91,7 @@ import traceback
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.bounds import NO_BOUND
-from ..core.dfs import PrunedEdge, RunRecord, unlock
+from ..core.dfs import Frontier, PrunedEdge, RunRecord, affords, in_order
 from ..core.iterative import FrontierSearch
 from ..core.sharding import RunSummary, SubtreeSpec, _subtree_worker
 from ..runtime.errors import EngineInvariantError
@@ -116,9 +116,9 @@ DEFAULT_MAX_HOLDERS = 64
 #: Ceiling on *cross-bound* parked holders registered with the frontier
 #: search (children sleeping across a bound transition so the next bound
 #: resumes their subtree with zero prefix replay).  Past the ceiling the
-#: registry evicts the holder whose edges unlock latest (ties: the
-#: shallowest, which loses the least replay); evicted edges fall back to
-#: plain replayable descriptors.  Sized to the per-bound frontier of the
+#: registry evicts the holder whose edges become affordable latest (ties:
+#: the shallowest, which loses the least replay); evicted edges fall back
+#: to plain replayable descriptors.  Sized to the per-bound frontier of the
 #: deep-prefix subjects this path targets.
 DEFAULT_MAX_CROSS_HOLDERS = 512
 
@@ -264,10 +264,11 @@ class _Child:
     holder's subtree precedes every run the parent produces after its
     stack unwinds shallower than that.  For a cross-bound holder it is the
     fork step, the prefix length a live resume saves.  ``owns`` is what
-    the child owns: the untried siblings as :class:`PrunedEdge` objects
-    (the re-dispatch fallback if the child dies — they share the
-    immutable prefix chain, so nothing walks it unless that happens), or
-    for a cross-bound holder ``{frontier index: cost_after}``.  A
+    the child owns: the forked point's remainder — untried siblings, then
+    pruned edges — as :class:`PrunedEdge` objects in DFS order (the
+    re-dispatch fallback if the child dies — they share the immutable
+    prefix chain, so nothing walks it unless that happens), or for a
+    cross-bound holder ``{edge index: cost_after}``.  A
     cross-bound pid may be a grandchild (registered over the fd-passing
     socket), so ``waitpid`` failures are expected and the kill is the
     contract.
@@ -330,7 +331,7 @@ class CrossBoundRegistry:
     forks one parked holder owning *all* of that point's pruned edges and
     registers it here; frontier entries carry ``(holder_id, index)``
     handles, and :meth:`resume` wakes the holder when a later bound
-    unlocks one of its edges.
+    affords one of its edges.
 
     Registration is race-free across processes: the root keeps both ends
     of an ``AF_UNIX``/``SOCK_DGRAM`` socketpair, descendants inherit the
@@ -474,7 +475,7 @@ class CrossBoundRegistry:
         holder.reap()
         # The woken child chain-forked a follow-on holder for its other
         # edges and re-registered before writing the batch: adopt it now
-        # so the next unlocked sibling finds its handle live.
+        # so the next resumed sibling finds its handle live.
         self.drain()
         return _batch(msg)
 
@@ -543,7 +544,14 @@ class SnapshotRunner:
         procs: int = 1,
         cross: Optional[CrossBoundRegistry] = None,
     ) -> None:
-        self.dfs = spec.search(bound, root, frontier)
+        #: What the search pops, in DFS order, until it can join
+        #: ``frontier``: pruned edges, and the handle of each sibling
+        #: holder whose forked point was popped (``detach_untried``).  A
+        #: handle holds back everything after it until that holder's
+        #: batch — whose frontier goes in its place — is collected.
+        self._staged: list = []
+        self._frontier = frontier
+        self.dfs = spec.search(bound, root, self._staged)
         #: What a dead holder's subtree is re-explored with: never forks.
         self._spec = spec.replaying()
         self.procs = max(1, procs)
@@ -560,11 +568,10 @@ class SnapshotRunner:
         #: Write end of the result pipe this process owes its parent: set
         #: when a holder wakes, closed in every child it forks.
         self._res_w = -1
-        #: ``(restored steps, frontier base)`` in a freshly-woken holder:
-        #: the flag that diverts the next ``_next()`` return into the
-        #: holder drain loop instead of letting the child unwind
-        #: inherited parent frames.
-        self._woke: Optional[Tuple[int, int]] = None
+        #: Restored prefix steps in a freshly-woken holder: the flag that
+        #: diverts the next ``_next()`` return into the holder drain loop
+        #: instead of letting the child unwind inherited parent frames.
+        self._woke: Optional[int] = None
         self._complete = False
         self._fork_broken = False
         #: Schedule of the most recently emitted run — the delta-decode
@@ -599,7 +606,7 @@ class SnapshotRunner:
         with collected holder batches, in exact serial DFS order."""
         dfs = self.dfs
         dfs.fork_hook = self._hook
-        if self._cross is not None and dfs.frontier is not None:
+        if self._cross is not None and self._frontier is not None:
             dfs.prune_hook = self._cross_hook
         gen = dfs.runs()
         try:
@@ -610,6 +617,7 @@ class SnapshotRunner:
                     break
                 if dfs.exhausted and not self._holders:
                     self._complete = True
+                self._join(self._unstage())
                 self._last_sched = record.result.schedule
                 yield record
                 # Holders whose forked point is deeper than the post-
@@ -628,21 +636,41 @@ class SnapshotRunner:
 
     def split_remaining(self) -> List[PrunedEdge]:
         """Detach all unexplored work — the in-process remainder plus
-        every parked holder's siblings — as resumable edge descriptors in
-        ascending ``order_path`` (serial DFS) order.  Holders are killed:
-        ownership of their subtrees transfers with the edges.
+        every parked holder's share, each where its forked point stood —
+        as an ordered remainder (:meth:`BoundedDFS.split_remaining`).
+        Holders are killed: ownership of their subtrees transfers with
+        the edges.
 
         Only valid at a batch boundary (:attr:`mid_batch` ``False``):
         records still buffered inside a collected batch have no edge
         descriptor and would be lost."""
-        edges = self.dfs.split_remaining()
-        for holder in self._holders:
-            edges.extend(holder.owns)
-            holder.destroy()
-        self._holders = []
-        edges.sort(key=lambda e: e.order_path)
+        edges: List[PrunedEdge] = []
+        for item in self._staged + self.dfs.split_remaining():
+            if isinstance(item, _Child):
+                edges.extend(item.owns)
+            else:
+                edges.append(item)
+        del self._staged[:]
+        self.close()
         self._complete = True
         return edges
+
+    def _unstage(self) -> List[PrunedEdge]:
+        """Take the staged edges that precede the first uncollected
+        holder's handle."""
+        staged = self._staged
+        n = 0
+        for item in staged:
+            if isinstance(item, _Child):
+                break
+            n += 1
+        edges = staged[:n]
+        del staged[:n]
+        return edges
+
+    def _join(self, edges: List[PrunedEdge]) -> None:
+        if self._frontier is not None:
+            self._frontier.extend(edges)
 
     def close(self) -> None:
         """Kill and reap every outstanding holder (idempotent)."""
@@ -739,10 +767,9 @@ class SnapshotRunner:
             self._park(go, res, cp, step_index, kernel, digest)
             return False  # woken: resume as the first untried sibling
         if pid > 0:
-            dfs = self.dfs
-            self._holders.append(
-                _Child(pid, go, res, dfs.depth, dfs.detach_untried(cp))
-            )
+            child = _Child(pid, go, res, self.dfs.depth)
+            child.owns = self.dfs.detach_untried(cp, child)
+            self._holders.append(child)
         return True
 
     def _park(self, go_r, res_w, cp, step_index, kernel, digest) -> None:
@@ -769,16 +796,16 @@ class SnapshotRunner:
             if not self._fork_holder(cp, step_index, kernel, digest):
                 return  # we are the follow-on holder; _woke is set
         self._audit_wake(step_index, kernel, digest)
-        frontier = self.dfs.frontier
-        self._woke = (step_index, 0 if frontier is None else len(frontier))
+        self._woke = step_index
 
     # -- cross-bound holders ---------------------------------------------------
 
     def _cross_hook(self, edges, step_index: int, kernel) -> Optional[int]:
         """``BoundedDFS.prune_hook``: called right after the bound cut
-        off ``edges`` (that choice point's pruned candidates, already in
-        the frontier sink).  Parent side: fork one parked holder owning
-        the live image, tag the edges with its handle, return ``None``.
+        off ``edges`` (that choice point's pruned candidates, which the
+        pushed point hands on when popped).  Parent side: fork one parked
+        holder owning the live image, tag the edges with its handle,
+        return ``None``.
         In a freshly *woken* child the call instead returns the resumed
         edge's tid — the hook has re-rooted the search at that edge and
         the inherited ``execute()`` continues by running it as the new
@@ -795,7 +822,7 @@ class SnapshotRunner:
 
     def _cross_fork(self, owned, step_index, kernel, digest,
                     hid) -> Optional[int]:
-        """Fork one parked holder owning ``owned`` (``{frontier index:
+        """Fork one parked holder owning ``owned`` (``{edge index:
         edge}``, indices stable across chain forks so every outstanding
         handle stays valid) and register it under ``hid``.  Returns
         ``None`` on the forking side; in the child, once a later bound
@@ -818,13 +845,13 @@ class SnapshotRunner:
     def _cross_park(self, go_r, res_w, owned, step_index, kernel, digest,
                     hid) -> int:
         """Child side of a cross-bound fork: park on the live image until
-        the frontier search unlocks one of ``owned`` at a later bound,
+        the frontier search resumes one of ``owned`` at a later bound,
         then re-root the inherited search at that edge and return its tid
         (the woken ``choose`` executes it as the new root's final step)."""
         msg = _read_msg(go_r)
         _close(go_r)
         if msg is None:
-            os._exit(2)  # search finished or died without unlocking us
+            os._exit(2)  # search finished or died without resuming us
         self._res_w = res_w
         new_bound, j = msg
         edge = owned.pop(j, None)
@@ -841,7 +868,7 @@ class SnapshotRunner:
                 return chained  # we are the follow-on, freshly re-rooted
         self._audit_wake(step_index, kernel, digest)
         self.dfs.reroot(edge, new_bound)
-        self._woke = (step_index, 0)
+        self._woke = step_index
         return edge.tid
 
     # -- child containment ---------------------------------------------------
@@ -877,22 +904,22 @@ class SnapshotRunner:
     def _become_holder(self, first: RunRecord, gen) -> None:
         """Woken child: drain the sibling subtree synchronously, ship the
         batch on the result pipe, exit.  Never returns."""
-        restored, frontier_base = self._woke
+        restored = self._woke
         self._woke = None
         try:
-            batch = self._drain_as_holder(first, gen, restored,
-                                          frontier_base)
+            batch = self._drain_as_holder(first, gen, restored)
         except BaseException:
             self._exit_with(("err", traceback.format_exc()), 1)
         self._exit_with(("ok", batch), 0)
 
-    def _drain_as_holder(self, first: RunRecord, gen, restored: int,
-                         frontier_base: int) -> dict:
+    def _drain_as_holder(self, first: RunRecord, gen,
+                         restored: int) -> dict:
         """Holder drain loop: same merge logic as :meth:`runs`, but
         synchronous, accumulating ``(RunSummary, cost, pruned_any)``
-        tuples plus the frontier edges this subtree pruned (own edges
-        from ``frontier_base`` on, flushed in order around each nested
-        batch).
+        tuples plus the frontier edges this subtree pruned, in DFS order
+        (staged edges flushed around each nested batch).  A run starts
+        with the stage empty, so all it holds after the wake is this
+        holder's own.
 
         The batch ships as a list of opaque pre-pickled *segments*: own
         runs are pickled once here, nested holder batches are spliced in
@@ -904,7 +931,6 @@ class SnapshotRunner:
         segments: List[bytes] = []
         cur: List[Tuple[RunSummary, int, bool]] = []
         out_frontier: List[dict] = []
-        fcur = frontier_base
         ppid = os.getppid()
 
         def flush_cur() -> None:
@@ -915,11 +941,7 @@ class SnapshotRunner:
                 del cur[:]
 
         def flush_frontier() -> None:
-            nonlocal fcur
-            sink = dfs.frontier
-            if sink is not None and fcur < len(sink):
-                out_frontier.extend(e.to_payload() for e in sink[fcur:])
-                fcur = len(sink)
+            out_frontier.extend(e.to_payload() for e in self._unstage())
 
         # Delta encoding: this run's first ``restored`` schedule entries
         # are bit-identical to the stream predecessor's (both executed
@@ -939,13 +961,16 @@ class SnapshotRunner:
                 break
             if os.getppid() != ppid:  # orphaned mid-drain
                 os._exit(2)
+            flush_frontier()
             depth = dfs.depth
             while self._holders and self._holders[-1].depth > depth:
-                flush_frontier()
-                sub = self._collect(self._holders.pop())
+                holder = self._holders.pop()
+                sub = self._collect(holder)
+                self._staged.remove(holder)
                 flush_cur()
                 segments.extend(sub["segments"])
                 out_frontier.extend(sub["frontier"])
+                flush_frontier()
                 if not sub["exhausted"]:
                     exhausted = False
                     break
@@ -967,23 +992,26 @@ class SnapshotRunner:
 
     def _collect(self, holder: _Child) -> dict:
         """Wake one holder and block for its batch.  A dead or failed
-        holder degrades to re-exploring its stored edges in-process with
-        the plain replaying search — same records, same order (including
-        any exception the subtree deterministically raises), no snapshot
-        win."""
+        holder degrades to walking its stored remainder in-process with
+        the plain replaying search — same records, same order, same
+        frontier (including any exception the subtree deterministically
+        raises), no snapshot win."""
         msg = _read_msg(holder.res_r) if holder.wake() else None
         holder.reap()
         batch = _batch(msg)
         if batch is not None:
             return batch
-        dfs = self.dfs
+        bound = self.dfs.bound
         segments: List[bytes] = []
         frontier: List[dict] = []
         exhausted = True
         for edge in holder.owns:
+            if not affords(bound, edge):
+                frontier.append(edge.to_payload())
+                continue
             runs, sub_frontier, _, exhausted = _subtree_worker(
-                self._spec, dfs.bound, edge.to_payload(), None,
-                dfs.frontier is not None,
+                self._spec, bound, edge.to_payload(), None,
+                self._frontier is not None,
             )
             segments.append(
                 pickle.dumps(runs, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1004,14 +1032,17 @@ class SnapshotRunner:
             # emission order is fixed at collection regardless.
             for holder in self._holders[-self.procs:]:
                 holder.wake()
-        sub = self._collect(self._holders.pop())
+        holder = self._holders.pop()
+        sub = self._collect(holder)
         if self._cross is not None:
             # Keep the registration queue shallow: adopt (and cap) the
             # cross-bound holders this batch's subtree just parked.
             self._cross.drain()
-        sink = self.dfs.frontier
-        if sink is not None and sub["frontier"]:
-            sink.extend(PrunedEdge.from_payload(p) for p in sub["frontier"])
+        # The batch's frontier goes where the holder's handle was staged,
+        # ahead of the edges it held back.
+        self._staged.remove(holder)
+        self._join([PrunedEdge.from_payload(p) for p in sub["frontier"]])
+        self._join(self._unstage())
         records = decode_batch(sub, self._last_sched)
         last = len(records) - 1
         for i, record in enumerate(records):
@@ -1052,7 +1083,7 @@ class SnapshotFrontierSearch(FrontierSearch):
 
     Beyond the per-subtree (intra-bound) holders, deep bound-pruned
     points park **cross-bound** holders in a :class:`CrossBoundRegistry`:
-    when a later bound unlocks such an edge, :meth:`runs_at_bound`
+    when a later bound affords such an edge, :meth:`runs_at_bound`
     resumes the subtree from the holder's live image instead of replaying
     the whole prefix from step 0 — the iterative-bounding analogue of the
     plain-DFS snapshot win.  Any miss (evicted, dead, fork-unavailable)
@@ -1077,8 +1108,8 @@ class SnapshotFrontierSearch(FrontierSearch):
         if not self._started:
             yield from super().runs_at_bound(bound)
             return
-        unlocked, self._frontier = unlock(self._frontier, bound)
-        for entry in unlocked:
+        old, self._frontier = self._frontier, Frontier(self._limit)
+        for entry in in_order(old, bound, self._frontier):
             sub = self._cross.resume(entry.holder, bound)
             if sub is None:
                 # No live image for this edge — classic prefix replay.

@@ -10,6 +10,9 @@ only as equivalence oracles for the tests and as the baseline side of
   the paper treats this as implementation cost, not a metric).  It drives
   the production accounting loop through :class:`RestartBoundingExplorer`,
   whose ``record.cost < bound`` guard skips the re-executions;
+- :func:`order_path` — an edge's DFS sort key, recomputed by replaying
+  its schedule: the search keeps every frontier in DFS order by
+  construction, and this is the independent witness of that order;
 - :class:`RestartIBPOR` — iterative BPOR that restarts a fresh
   ``DPORExplorer`` per bound, with ``bound_pruned`` as the stop signal;
 - :class:`DictVectorClock` — the sparse dict-backed vector clock, the
@@ -31,9 +34,10 @@ from repro.core.dfs import BoundedDFS, OrderCache, RunRecord
 from repro.core.dpor import IterativeBPORExplorer, merge_sub_stats
 from repro.core.explorer import ExplorationStats
 from repro.core.iterative import IterativeBoundingExplorer
-from repro.engine.executor import DEFAULT_MAX_STEPS
+from repro.engine.executor import DEFAULT_MAX_STEPS, execute
 from repro.engine.hardening import _STABLE_SCALARS, _UNSTABLE, _object_state
 from repro.engine.state import VisibleFilter
+from repro.engine.strategies import SchedulerStrategy, round_robin_choice
 from repro.racedetect.vectorclock import Epoch
 from repro.runtime.context import ThreadContext, ThreadHandle
 from repro.runtime.objects import SharedObject
@@ -95,7 +99,7 @@ class RestartSearch:
 class RestartBoundingExplorer(IterativeBoundingExplorer):
     """IPB/IDB over :class:`RestartSearch` instead of the frontier."""
 
-    def _search(self, program: Program) -> RestartSearch:
+    def _search(self, program: Program, limit: int) -> RestartSearch:
         return RestartSearch(
             program,
             self.cost_model,
@@ -120,6 +124,56 @@ def make_restart_ipb(**kwargs) -> RestartBoundingExplorer:
 
 def make_restart_idb(**kwargs) -> RestartBoundingExplorer:
     return RestartBoundingExplorer(DELAY, "IDB", **kwargs)
+
+
+class _OrderProbe(SchedulerStrategy):
+    """Replays ``schedule`` with every enabled set in view and records the
+    chosen thread's position in the DFS candidate ordering at each step:
+    the round-robin default first, then the others round-robin from the
+    last thread — the bounded DFS's order, pruned candidates included."""
+
+    def __init__(self, schedule: List[int]) -> None:
+        self.schedule = schedule
+        self.positions: List[int] = []
+
+    def choose(self, step_index, enabled, last_tid, kernel):
+        n = kernel.num_created
+        default = round_robin_choice(enabled, last_tid, n)
+        if step_index >= len(self.schedule):
+            return default  # past the edge: finish the run, record nothing
+        ordered = [default] + [
+            tid
+            for tid in ((last_tid + off) % n for off in range(n))
+            if tid in enabled and tid != default
+        ]
+        tid = self.schedule[step_index]
+        self.positions.append(ordered.index(tid))
+        return tid
+
+
+def order_path(
+    program: Program,
+    schedule: List[int],
+    *,
+    visible_filter: Optional[VisibleFilter] = None,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> Tuple[int, ...]:
+    """The candidate positions along ``schedule``, from the root through
+    its last step.  The candidate ordering does not depend on the bound,
+    so lexicographic order on these tuples is the DFS visiting order of
+    the whole schedule tree at every bound; a frontier, split remainder or
+    holder share is in DFS order iff its edges' keys ascend."""
+    probe = _OrderProbe(list(schedule))
+    execute(
+        program,
+        probe,
+        max_steps=max_steps,
+        visible_filter=visible_filter,
+        record_enabled=False,
+    )
+    if len(probe.positions) != len(schedule):
+        raise AssertionError("schedule ended before its last step replayed")
+    return tuple(probe.positions)
 
 
 class RestartIBPOR(IterativeBPORExplorer):

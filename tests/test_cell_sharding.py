@@ -22,7 +22,11 @@ pickling boundary end to end.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import pickle
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -183,11 +187,9 @@ def test_split_remaining_is_exact_ordered_remainder(after_runs):
     edges = dfs.split_remaining()
     assert dfs.exhausted  # ownership of the remainder transferred
     assert dfs.split_remaining() == []  # idempotent once detached
-    # Descriptors come out in ascending DFS (order_path) order ...
-    paths = [tuple(e.order_path) for e in edges]
-    assert paths == sorted(paths)
-    # ... and survive serialization: exploring each rebuilt descriptor in
-    # that order continues the enumeration *exactly* where it stopped.
+    # Descriptors survive serialization, and exploring each rebuilt
+    # descriptor in list order continues the enumeration *exactly* where
+    # it stopped (their DFS order is pinned in tests/test_frontier_order.py).
     for edge in edges:
         payload = json.loads(json.dumps(edge.to_payload()))
         sub = BoundedDFS(
@@ -395,6 +397,52 @@ class TestProcessPool:
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
             ShardedDFS(figure1(), shards=0)
+
+    def test_each_worker_builds_a_partial_source_once(self, tmp_path,
+                                                     monkeypatch):
+        # Every task unpickles a fresh source object; the worker's
+        # program cache must still hit, so each pid builds exactly once.
+        monkeypatch.setattr(sharding, "DEFAULT_SPLIT_RUNS", 2)
+        log = tmp_path / "builds"
+        source = functools.partial(_logged_program, str(log), "wsq")
+        program = source()
+        serial = DFSExplorer().explore(program, 10_000)
+        pooled = DFSExplorer(shards=2, program_source=source).explore(
+            program, 10_000
+        )
+        assert _canon(serial) == _canon(pooled)
+        builds = Counter(line.split()[0] for line in log.read_text().splitlines())
+        assert len(builds) >= 2  # the test's own build and a worker's
+        assert set(builds.values()) == {1}
+
+
+def _logged_program(path: str, tag: str):
+    """Picklable program source that logs which process built it."""
+    with open(path, "a") as fh:
+        fh.write(f"{os.getpid()} {tag}\n")
+    return unsafe_counter(workers=2, increments=2)
+
+
+def test_program_cache_is_keyed_by_source_value(tmp_path, monkeypatch):
+    monkeypatch.setattr(sharding, "_PROGRAM_CACHE", {})
+    log = tmp_path / "builds"
+    source = functools.partial(_logged_program, str(log), "same")
+    # A fresh unpickled copy per task, as a pool worker sees it.
+    first = sharding._cached_program(pickle.loads(pickle.dumps(source)))
+    for _ in range(20):
+        assert sharding._cached_program(
+            pickle.loads(pickle.dumps(source))
+        ) is first
+    # Distinct sources never share a program, even when a freed source's
+    # id is reused by the next one.
+    programs = [
+        sharding._cached_program(
+            functools.partial(_logged_program, str(log), str(i))
+        )
+        for i in range(20)
+    ]
+    assert len({id(p) for p in programs + [first]}) == 21
+    assert len(log.read_text().splitlines()) == 21
 
 
 # ---------------------------------------------------------------------------

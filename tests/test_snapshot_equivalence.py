@@ -170,20 +170,12 @@ def test_dfs_run_stream_identical_in_order(factory, monkeypatch):
 @pytest.mark.parametrize("cost_model", [PREEMPTION, DELAY], ids=["PC", "DC"])
 @pytest.mark.parametrize("factory", SMALL_GRID)
 def test_bounded_run_streams_identical_in_order(factory, cost_model):
-    def enumerate_all(search_cls):
-        search = search_cls(factory(), cost_model)
-        out = []
-        for bound in range(9):
-            out.extend(
-                (bound, entry)
-                for entry in _stream(search.runs_at_bound(bound))
-            )
-            if not search.pruned_at_bound():
-                return out, True
-        return out, False
-
-    serial, serial_done = enumerate_all(FrontierSearch)
-    snapped, snapped_done = enumerate_all(snap.SnapshotFrontierSearch)
+    # _enumerate_bounds closes each search, so no cross-bound holder
+    # outlives the test.
+    serial, serial_done = _enumerate_bounds(FrontierSearch(factory(), cost_model))
+    snapped, snapped_done = _enumerate_bounds(
+        snap.SnapshotFrontierSearch(factory(), cost_model)
+    )
     assert serial == snapped  # same records, same order, same bounds
     assert serial_done == snapped_done
 
