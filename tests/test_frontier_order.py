@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import DELAY, PREEMPTION, ShardedFrontierSearch, make_idb, make_ipb
+from repro.core.bounds import BoundCost
 from repro.core.dfs import BoundedDFS, PrunedEdge, affords, in_order
 from repro.core.iterative import FrontierSearch
 from repro.core.sharding import SubtreeSpec
@@ -184,6 +185,31 @@ def test_bounded_split_is_an_ordered_remainder(after_runs):
     assert [e.schedule for e in frontier] == [
         e.schedule for e in serial_frontier
     ]
+
+
+class _LastIsCheapest(BoundCost):
+    """Breaks the ordering contract: among the candidates that cost
+    anything, the highest thread id costs least, so at bound 1 it is
+    affordable behind pruned ones."""
+
+    name = "last-is-cheapest"
+
+    def increment(self, step_index, last_tid, chosen, enabled, num_created):
+        if step_index == 0 or chosen == last_tid:
+            return 0
+        return 1 if chosen == max(enabled) else 2
+
+
+def test_cost_model_breaking_the_ordering_contract_is_refused():
+    # Its pruned edges would not follow the point's explored subtrees,
+    # so the frontier could not be in DFS order.
+    dfs = BoundedDFS(
+        unsafe_counter(workers=3, increments=1), _LastIsCheapest(), 1,
+        frontier=[],
+    )
+    with pytest.raises(AssertionError, match="ahead of an affordable"):
+        for _ in dfs.runs():
+            pass
 
 
 # -- the 2 × limit cap -------------------------------------------------------
