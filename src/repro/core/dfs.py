@@ -275,39 +275,52 @@ def affords(bound: Optional[int], edge: PrunedEdge) -> bool:
 class Frontier(list):
     """A frontier search's pruned-edge list, in DFS order by construction.
 
-    Keeps only the first ``2 × limit`` edges of each ``cost_after`` value
-    (all of them when ``limit`` is ``None``), which is exact: an explorer
-    stops after ``limit`` schedules or ``limit`` abandoned runs, every
-    resumed edge yields at least one run, and a bound resumes the edges of
-    its cost in list order, so no later edge of a cost can ever be
-    resumed.  A cost's first edge is always kept, so the list is
-    non-empty exactly when the uncapped one would be.  ``dropped`` counts
-    the edges left out.
+    Drops an edge once ``2 × limit`` kept edges cost no more than it
+    does (keeps everything when ``limit`` is ``None``), which is exact:
+    an explorer stops after ``limit`` schedules or ``limit`` abandoned
+    runs, so after at most ``2 × limit − 1`` runs; every resumed edge
+    yields at least one run; and an edge of cost ``c`` is resumed only
+    after every kept edge of a lower cost (at earlier bounds) and every
+    kept edge of cost ``c`` before it in the list.  So a dropped edge
+    could never be resumed.  The first edge is always kept, so the list
+    is non-empty exactly when the uncapped one would be.  ``dropped``
+    counts the edges left out.
     """
 
-    __slots__ = ("cap", "dropped", "_kept")
+    __slots__ = ("cap", "dropped", "_kept", "_full")
 
     def __init__(self, limit: Optional[int] = None) -> None:
         super().__init__()
         self.cap = None if limit is None else 2 * max(1, limit)
         self.dropped = 0
+        #: Kept edges per ``cost_after``.
         self._kept: Dict[int, int] = {}
+        #: A cost whose edges are all dropped: ``cap`` kept edges cost no
+        #: more than it (costs only ever fill up, so every higher cost is
+        #: full too).
+        self._full: Optional[int] = None
 
     def append(self, edge: PrunedEdge) -> None:
         self.extend((edge,))
 
     def extend(self, edges) -> None:
-        if self.cap is None:
+        cap = self.cap
+        if cap is None:
             super().extend(edges)
             return
         kept = self._kept
         for edge in edges:
-            n = kept.get(edge.cost_after, 0)
-            if n < self.cap:
-                kept[edge.cost_after] = n + 1
-                super().append(edge)
-            else:
-                self.dropped += 1
+            cost = edge.cost_after
+            full = self._full
+            if full is None or cost < full:
+                if len(self) < cap or sum(
+                    n for c, n in kept.items() if c <= cost
+                ) < cap:
+                    kept[cost] = kept.get(cost, 0) + 1
+                    super().append(edge)
+                    continue
+                self._full = cost
+            self.dropped += 1
 
 
 def in_order(
@@ -317,7 +330,9 @@ def in_order(
     affords (a subtree to run — the caller runs it before asking for the
     next one) and append every other edge to ``frontier`` at its
     position.  Consumes ``remainder`` as it goes, so walked edges are
-    released."""
+    released: it reverses the list and pops from its end, so between
+    yields ``remainder[-1]`` is the next edge (the snapshot look-ahead
+    peeks there)."""
     remainder.reverse()
     while remainder:
         edge = remainder.pop()

@@ -69,7 +69,7 @@ class FrontierSearch:
     restart pass.
 
     ``limit`` is the explorer's schedule limit: the frontier keeps only
-    the edges of each cost that a run under it can still resume
+    the edges that a run under it can still resume
     (:class:`~repro.core.dfs.Frontier`), so its memory is O(limit), not
     O(executions).
     """

@@ -427,8 +427,8 @@ def _subtree_worker(
     frontier: Optional[List[PrunedEdge]] = [] if want_frontier else None
     root = PrunedEdge.from_payload(root_payload)
     if spec.snapshots and snapshot_mod.fork_available():
-        # The worker is single-subtree, so holders stay lazy (procs=1):
-        # pure replay elimination, no oversubscription of the pool.
+        # No look-ahead tokens: holders run only in their turn, so a
+        # worker keeps one process busy and never oversubscribes the pool.
         search = snapshot_mod.SnapshotRunner(
             spec, bound, root=root, frontier=frontier, cross=cross
         )

@@ -41,9 +41,16 @@ prefix is therefore ~100–1000 steps depending on step weight;
 :data:`DEFAULT_MIN_FORK_STEPS` (256) gates forking on exactly that depth.
 Shallow trees — most of SCTBench — never fork and run the classic
 search unchanged; deep-prefix subjects (``fixed.prelude``) run ≥2×
-faster end-to-end.  The win is *not* parallelism (holders are parked,
-and the look-ahead width is 1 on a 1-core box): it is replay
-elimination, which is why it holds even on a single CPU.
+faster end-to-end.  That win is replay elimination, which is why it
+holds even on a single CPU.  On more CPUs a search also runs holders in
+parallel, under one look-ahead rule: wherever a process is about to
+block on a holder's batch — the root and every woken holder collecting
+sibling holders, and the frontier search resuming cross-bound holders —
+it first wakes the holders whose batches come next, each on a token
+from the search's one pool of :func:`default_procs` − 1 tokens (make's
+jobserver idea, :class:`_Tokens`).  Batches are still collected in DFS
+order, so emission order, batch contents and frontier placement do not
+depend on what ran ahead.
 
 Every child is forked by one primitive (:meth:`SnapshotRunner._fork`)
 and owns exactly two pipe ends: the read end of its go pipe and the
@@ -51,7 +58,8 @@ write end of its result pipe.  Every other pipe end it inherits — the
 parent-side ends of sibling holders, cross-bound holders' ends, and the
 result pipe the forking process itself owes *its* parent — is closed in
 the child at once, so EOF on a result pipe means exactly "that child is
-gone", never "and every descendant it forked has exited too".
+gone", never "and every descendant it forked has exited too".  The one
+inherited descriptor every holder keeps is the search's token file.
 
 Failure containment:
 
@@ -87,7 +95,9 @@ import pickle
 import signal
 import socket
 import struct
+import tempfile
 import traceback
+import weakref
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.bounds import NO_BOUND
@@ -99,6 +109,11 @@ from ..runtime.objects import snapshot as objects_snapshot
 from .executor import DEFAULT_MAX_STEPS
 from .hardening import engine_check_enabled
 from .trace import Outcome
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - platforms without fork, where
+    fcntl = None  # the explorers fall back before any token is made
 
 #: Minimum absolute step depth of a choice point before forking a holder
 #: for it.  A resumed execution has a fixed ~2.5-3ms cost (fork + child
@@ -124,10 +139,16 @@ DEFAULT_MAX_CROSS_HOLDERS = 512
 
 
 def default_procs() -> int:
-    """Default look-ahead width: how many holders may run concurrently
-    (the collected one plus eagerly-woken successors).  Capped low — the
-    speedup comes from replay elimination, not parallelism."""
-    return max(1, min(8, os.cpu_count() or 1))
+    """How many processes of one snapshot search may run at once: the
+    CPUs this process may run on (its affinity mask where the platform
+    has one, so ``taskset`` narrows it), at most 8.  The search's own
+    process takes one; the rest are its look-ahead tokens
+    (:class:`_Tokens`), which let holders run ahead of their turn."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity masks here
+        cpus = os.cpu_count() or 1
+    return max(1, min(8, cpus))
 
 
 def fork_available() -> bool:
@@ -205,6 +226,72 @@ def _digest(kernel) -> Optional[dict]:
     return objects_snapshot(kernel.naming.objects)
 
 
+# -- look-ahead tokens -------------------------------------------------------
+
+
+class _Tokens:
+    """The look-ahead budget of one search: ``n`` tokens shared by every
+    process of its tree (make's jobserver idea).
+
+    A process takes a token (never blocking) before it wakes a holder
+    ahead of its turn, and gives it back when it starts blocking on that
+    holder or destroys it.  Blocking on the head batch needs none: the
+    head runs in the blocked process's place.  So at most ``n + 1``
+    processes of the search run at once.
+
+    A token is a byte-range lock on one anonymous file that every
+    holder inherits through :meth:`SnapshotRunner._fork` — the one
+    descriptor a child keeps besides its own two pipe ends.  Locks
+    belong to the process that took them: a child starts with none, and
+    a process that dies holding some (a running holder killed at a
+    mid-stream stop) returns them with it, where a pipe of token bytes
+    would lose them.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        if hasattr(os, "memfd_create"):
+            self.fd = os.memfd_create("repro-lookahead")
+        else:  # pragma: no cover - platforms without memfd
+            self.fd, path = tempfile.mkstemp()
+            os.unlink(path)
+        #: Byte offsets this process holds, one per holder it woke ahead.
+        self._held: List[int] = []
+        #: Closes the file once the search is closed or collected.
+        self.close = weakref.finalize(self, os.close, self.fd)
+
+    def take(self) -> bool:
+        for i in range(self.n):
+            if i in self._held:
+                continue
+            try:
+                fcntl.lockf(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB, 1, i)
+            except OSError:
+                continue
+            self._held.append(i)
+            return True
+        return False
+
+    def give(self) -> None:
+        fcntl.lockf(self.fd, fcntl.LOCK_UN, 1, self._held.pop())
+
+    def on_child(self) -> None:
+        """Called on the child side of every fork: locks are not
+        inherited."""
+        self._held = []
+
+
+def _search_tokens() -> Optional[_Tokens]:
+    """A new search's look-ahead tokens (``None``: no look-ahead)."""
+    n = default_procs() - 1
+    if n < 1:
+        return None
+    try:
+        return _Tokens(n)
+    except OSError:  # pragma: no cover - out of descriptors
+        return None
+
+
 # -- live-child accounting ---------------------------------------------------
 
 #: Pids of every parked holder this process currently owns.  The normal
@@ -271,10 +358,12 @@ class _Child:
     cross-bound holder ``{edge index: cost_after}``.  A
     cross-bound pid may be a grandchild (registered over the fd-passing
     socket), so ``waitpid`` failures are expected and the kill is the
-    contract.
+    contract.  ``ahead`` is the look-ahead pool whose token this
+    process took to wake the child ahead of its turn (``None`` when it
+    was woken in its turn, or is parked).
     """
 
-    __slots__ = ("pid", "go_w", "res_r", "depth", "owns")
+    __slots__ = ("pid", "go_w", "res_r", "depth", "owns", "ahead")
 
     def __init__(self, pid: int, go_w: int, res_r: int, depth: int = 0,
                  owns=None) -> None:
@@ -283,6 +372,7 @@ class _Child:
         self.res_r = res_r
         self.depth = depth
         self.owns = owns
+        self.ahead: Optional[_Tokens] = None
         _register_child(pid)
 
     def wake(self) -> bool:
@@ -309,13 +399,22 @@ class _Child:
             pass
         _unregister_child(self.pid)
 
+    def release(self) -> None:
+        """Give back the token this child was woken ahead on: its
+        collector now blocks on it, or it is gone."""
+        if self.ahead is not None:
+            self.ahead.give()
+            self.ahead = None
+
     def destroy(self) -> None:
-        """Kill the child (parked or running) and reap it."""
+        """Kill the child (parked or running), reap it and give back its
+        look-ahead token."""
         try:
             os.kill(self.pid, signal.SIGKILL)
         except OSError:
             pass
         self.reap()
+        self.release()
 
 
 # -- cross-bound holders -----------------------------------------------------
@@ -346,12 +445,21 @@ class CrossBoundRegistry:
     Failure is always graceful: a missing/evicted/dead holder makes
     :meth:`resume` return ``None`` and the frontier search re-explores
     the edge by classic prefix replay.
+
+    ``tokens`` is the owning search's look-ahead pool (``None``: no
+    look-ahead): :meth:`wake_ahead` wakes the holder of an upcoming
+    entry on a token while the head's batch is awaited.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tokens: Optional[_Tokens] = None) -> None:
         self.max_holders = DEFAULT_MAX_CROSS_HOLDERS
         self.owner_pid = os.getpid()
         self.holders: Dict[str, _Child] = {}
+        #: Woken holders whose batch is not collected yet, by the handle
+        #: they were woken for: the head being resumed and those woken
+        #: ahead of it.
+        self._woken: Dict[Tuple[str, int], _Child] = {}
+        self._tokens = tokens
         self.evicted = 0
         self.resumed = 0
         self._counter = 0
@@ -409,9 +517,10 @@ class CrossBoundRegistry:
         root-side state (holder fds and the receive end), keep only the
         send end for registrations.  Idempotent — chain forks call it
         again with everything already closed."""
-        for holder in self.holders.values():
+        for holder in [*self.holders.values(), *self._woken.values()]:
             _close(holder.go_w, holder.res_r)
         self.holders = {}
+        self._woken = {}
         try:
             self._recv.close()
         except OSError:  # pragma: no cover
@@ -453,22 +562,64 @@ class CrossBoundRegistry:
             self.holders.pop(hid).destroy()
             self.evicted += 1
 
-    def resume(self, handle, bound: int):
-        """Wake the holder owning ``handle`` and return its subtree batch
-        (the ``{"segments", "frontier", "exhausted"}`` payload), or
-        ``None`` if the subtree must be re-explored by classic replay
-        (no such holder, evicted, dead, or it raised)."""
-        if handle is None or self._closed:
-            return None
-        self.drain()
-        hid, idx = handle
+    def _wake(self, key: Tuple[str, int], bound: int) -> Optional[_Child]:
+        """Wake the registered holder owning edge ``key`` at ``bound``;
+        ``None`` if no live registration owns it."""
+        hid, idx = key
         holder = self.holders.get(hid)
         if holder is None or idx not in holder.owns:
             return None
         del self.holders[hid]
-        self.resumed += 1
         try:
             _write_msg(holder.go_w, (bound, idx))
+        except OSError:
+            pass  # already dead: its batch reads as EOF
+        self._woken[key] = holder
+        return holder
+
+    def wake_ahead(self, handle, bound: int) -> bool:
+        """Wake the holder of an upcoming frontier entry on a look-ahead
+        token, so its subtree runs while an earlier batch is awaited.
+        ``False`` only when no token is free (stop looking further).
+
+        An entry whose holder id belongs to a woken, uncollected holder
+        is never woken ahead: that holder's chain follow-on, which owns
+        the entry, registers only once the holder runs; the entry is
+        resumed live in its turn."""
+        if handle is None or any(h == handle[0] for h, _ in self._woken):
+            return True
+        holder = self.holders.get(handle[0])
+        if holder is None or handle[1] not in holder.owns:
+            return True
+        if not self._tokens.take():
+            return False
+        self._wake((handle[0], handle[1]), bound).ahead = self._tokens
+        return True
+
+    def resume(self, handle, bound: int, ahead=None):
+        """Wake the holder owning ``handle`` (unless it was woken ahead;
+        then its token goes back) and return its subtree batch (the
+        ``{"segments", "frontier", "exhausted"}`` payload), or ``None``
+        if the subtree must be re-explored by classic replay (no such
+        holder, evicted, dead, or it raised).  ``ahead``, the caller's
+        look-ahead, is called once the holder runs, before blocking on
+        its batch."""
+        if handle is None or self._closed:
+            return None
+        self.drain()
+        key = (handle[0], handle[1])
+        holder = self._woken.get(key)
+        if holder is not None:
+            holder.release()
+        else:
+            holder = self._wake(key, bound)
+            if holder is None:
+                return None
+        if ahead is not None:
+            ahead()
+        del self._woken[key]
+        self.resumed += 1
+        try:
             msg = _read_msg(holder.res_r)
         except OSError:
             msg = None
@@ -481,15 +632,17 @@ class CrossBoundRegistry:
 
     def close(self) -> None:
         """Kill and reap every registered holder, including registrations
-        still queued in the socket (idempotent; root only kills)."""
+        still queued in the socket, and every woken one (idempotent; root
+        only kills)."""
         if self._closed:
             return
         self._closed = True
         if os.getpid() == self.owner_pid:
             self.drain()
-            for holder in self.holders.values():
+            for holder in [*self.holders.values(), *self._woken.values()]:
                 holder.destroy()
             self.holders = {}
+            self._woken = {}
         for sock in (self._recv, self._send):
             try:
                 sock.close()
@@ -529,9 +682,10 @@ class SnapshotRunner:
     edges into ``frontier``) and exposes its run stream: ``runs()`` /
     ``exhausted`` / ``split_remaining()`` with the exact serial contract
     (same records, same order, ``exhausted`` accurate at every yield),
-    plus ``close()`` for cleanup.  ``procs`` is the look-ahead width;
-    ``cross`` the cross-bound holder registry shared with the owning
-    frontier search.
+    plus ``close()`` for cleanup.  ``cross`` is the cross-bound holder
+    registry shared with the owning frontier search, ``tokens`` the
+    search's look-ahead pool (``None``, as for shard workers: holders
+    run only in their turn).
     """
 
     def __init__(
@@ -541,8 +695,8 @@ class SnapshotRunner:
         *,
         root: Optional[PrunedEdge] = None,
         frontier: Optional[List[PrunedEdge]] = None,
-        procs: int = 1,
         cross: Optional[CrossBoundRegistry] = None,
+        tokens: Optional[_Tokens] = None,
     ) -> None:
         #: What the search pops, in DFS order, until it can join
         #: ``frontier``: pruned edges, and the handle of each sibling
@@ -554,7 +708,7 @@ class SnapshotRunner:
         self.dfs = spec.search(bound, root, self._staged)
         #: What a dead holder's subtree is re-explored with: never forks.
         self._spec = spec.replaying()
-        self.procs = max(1, procs)
+        self._tokens = tokens
         #: Cross-bound holder registry shared with the owning frontier
         #: search; when set (and the search has a frontier sink), deep
         #: bound-pruned points fork holders that park across bound
@@ -568,6 +722,11 @@ class SnapshotRunner:
         #: Write end of the result pipe this process owes its parent: set
         #: when a holder wakes, closed in every child it forks.
         self._res_w = -1
+        #: In a woken holder, the pid of the process that collects its
+        #: batch when that is its parent (sibling holders), else ``None``
+        #: (cross-bound holders: the root collects them through the
+        #: registry, and their forker may exit at any time).
+        self._collector: Optional[int] = None
         #: Restored prefix steps in a freshly-woken holder: the flag that
         #: diverts the next ``_next()`` return into the holder drain loop
         #: instead of letting the child unwind inherited parent frames.
@@ -694,6 +853,7 @@ class SnapshotRunner:
         process owes its own parent — so pipe EOF and child accounting
         stay exact."""
         fds: List[int] = []
+        forker = os.getpid()
         try:
             fds.extend(os.pipe())
             fds.extend(os.pipe())
@@ -712,10 +872,13 @@ class SnapshotRunner:
         for holder in self._holders:
             _close(holder.go_w, holder.res_r)
         self._holders = []
+        if self._tokens is not None:
+            self._tokens.on_child()
         if self._cross is not None:
             self._cross.on_child()
         self._woke = None
         self._complete = False
+        self._collector = forker
         return 0, go_r, res_w
 
     def _audit_wake(self, step_index: int, kernel, digest) -> None:
@@ -853,6 +1016,7 @@ class SnapshotRunner:
         if msg is None:
             os._exit(2)  # search finished or died without resuming us
         self._res_w = res_w
+        self._collector = None
         new_bound, j = msg
         edge = owned.pop(j, None)
         if edge is None:  # pragma: no cover - registry never sends these
@@ -931,7 +1095,7 @@ class SnapshotRunner:
         segments: List[bytes] = []
         cur: List[Tuple[RunSummary, int, bool]] = []
         out_frontier: List[dict] = []
-        ppid = os.getppid()
+        collector = self._collector
 
         def flush_cur() -> None:
             if cur:
@@ -959,13 +1123,12 @@ class SnapshotRunner:
             if summary.outcome is Outcome.TIMEOUT:
                 exhausted = False
                 break
-            if os.getppid() != ppid:  # orphaned mid-drain
-                os._exit(2)
+            if collector is not None and os.getppid() != collector:
+                os._exit(2)  # orphaned mid-drain: no one will collect us
             flush_frontier()
             depth = dfs.depth
             while self._holders and self._holders[-1].depth > depth:
-                holder = self._holders.pop()
-                sub = self._collect(holder)
+                holder, sub = self._next_batch()
                 self._staged.remove(holder)
                 flush_cur()
                 segments.extend(sub["segments"])
@@ -989,6 +1152,26 @@ class SnapshotRunner:
                 "exhausted": exhausted}
 
     # -- parent-side collection ----------------------------------------------
+
+    def _next_batch(self) -> Tuple[_Child, dict]:
+        """Pop the newest holder, whose batch comes next in DFS order, and
+        collect it.  The one look-ahead rule: before blocking on it, wake
+        the holders after it, newest first, each on a free token; a
+        holder woken ahead hands its token back here, once this process
+        starts blocking on it."""
+        holder = self._holders.pop()
+        holder.release()
+        holder.wake()
+        tokens = self._tokens
+        if tokens is not None:
+            for later in reversed(self._holders):
+                if later.go_w < 0:
+                    continue  # already woken ahead
+                if not tokens.take():
+                    break
+                later.ahead = tokens
+                later.wake()
+        return holder, self._collect(holder)
 
     def _collect(self, holder: _Child) -> dict:
         """Wake one holder and block for its batch.  A dead or failed
@@ -1026,14 +1209,7 @@ class SnapshotRunner:
         """Collect the newest holder and emit its batch.  ``final_ok``:
         this batch can carry the stream's final record (own search
         exhausted and no other holder outstanding)."""
-        if self.procs > 1:
-            # Look-ahead: unpark the next few holders so they explore
-            # while we drain this one; batches buffer in their pipes and
-            # emission order is fixed at collection regardless.
-            for holder in self._holders[-self.procs:]:
-                holder.wake()
-        holder = self._holders.pop()
-        sub = self._collect(holder)
+        holder, sub = self._next_batch()
         if self._cross is not None:
             # Keep the registration queue shallow: adopt (and cap) the
             # cross-bound holders this batch's subtree just parked.
@@ -1073,7 +1249,7 @@ def snapshot_dfs(
         spurious_wakeups=spurious_wakeups,
         budget=budget,
     )
-    return SnapshotRunner(spec, None, procs=default_procs())
+    return SnapshotRunner(spec, None, tokens=_search_tokens())
 
 
 class SnapshotFrontierSearch(FrontierSearch):
@@ -1093,24 +1269,27 @@ class SnapshotFrontierSearch(FrontierSearch):
 
     def __init__(self, program, cost_model, **kwargs) -> None:
         super().__init__(program, cost_model, **kwargs)
-        self._cross = CrossBoundRegistry()
-        self._procs = default_procs()
+        self._tokens = _search_tokens()
+        self._cross = CrossBoundRegistry(self._tokens)
 
     def _subtree(self, bound, root) -> SnapshotRunner:
         # The runner's ``runs()`` closes itself (try/finally) even when
         # the consumer stops mid-stream, so the base-class enumeration
         # needs no extra cleanup.
         return SnapshotRunner(self.spec, bound, root=root,
-                              frontier=self._frontier, procs=self._procs,
-                              cross=self._cross)
+                              frontier=self._frontier, cross=self._cross,
+                              tokens=self._tokens)
 
     def runs_at_bound(self, bound: int) -> Iterator[RunRecord]:
         if not self._started:
             yield from super().runs_at_bound(bound)
             return
         old, self._frontier = self._frontier, Frontier(self._limit)
+        ahead = None
+        if self._tokens is not None:
+            ahead = _Upcoming(old, bound, self._cross).wake
         for entry in in_order(old, bound, self._frontier):
-            sub = self._cross.resume(entry.holder, bound)
+            sub = self._cross.resume(entry.holder, bound, ahead)
             if sub is None:
                 # No live image for this edge — classic prefix replay.
                 yield from self._subtree(bound, entry).runs()
@@ -1121,5 +1300,37 @@ class SnapshotFrontierSearch(FrontierSearch):
             yield from decode_batch(sub, entry.schedule)
 
     def close(self) -> None:
-        """Kill every cross-bound holder still parked (idempotent)."""
+        """Kill every cross-bound holder still parked or woken, and close
+        the token file (idempotent)."""
         self._cross.close()
+        if self._tokens is not None:
+            self._tokens.close()
+
+
+class _Upcoming:
+    """The cross-bound look-ahead of one frontier walk.  :func:`in_order`
+    walks ``edges`` from its end, so ``edges[-1]`` is always the next
+    entry; ``scan`` indexes the next entry to examine (every entry above
+    it has been examined or walked; walked ones drop off the end)."""
+
+    __slots__ = ("edges", "bound", "cross", "scan")
+
+    def __init__(self, edges: List[PrunedEdge], bound: int,
+                 cross: CrossBoundRegistry) -> None:
+        self.edges = edges
+        self.bound = bound
+        self.cross = cross
+        self.scan = len(edges) - 1
+
+    def wake(self) -> None:
+        """Wake the holders of the next affordable entries, in walk
+        order, until no token is free."""
+        edges = self.edges
+        self.scan = min(self.scan, len(edges) - 1)
+        while self.scan >= 0:
+            edge = edges[self.scan]
+            if affords(self.bound, edge) and not self.cross.wake_ahead(
+                edge.holder, self.bound
+            ):
+                return
+            self.scan -= 1

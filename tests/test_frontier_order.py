@@ -10,10 +10,10 @@ witness is :func:`tests.oracles.order_path`, which recomputes an edge's
 DFS sort key by replaying its schedule: every bound's frontier must
 ascend in it, under every executor.
 
-Because the frontier is ordered, a search keeps only the first
-``2 × limit`` edges of each cost; the explorer can never resume a later
-one.  Capped and uncapped searches must agree on every stat, every run
-and every engine counter.
+Because the frontier is ordered, a search drops an edge once
+``2 × limit`` kept edges cost no more than it; the explorer can never
+resume it.  Capped and uncapped searches must agree on every stat,
+every run and every engine counter.
 """
 
 from __future__ import annotations
@@ -244,15 +244,27 @@ def make_aborting_counter() -> Program:
     return Program("aborting_counter", setup, main)
 
 
+def make_three_counters() -> Program:
+    """Three workers, two unprotected increments each: under IDB its
+    frontiers hold edges of several costs, and the cap drops edges of
+    one cost because of the lower-cost edges kept before them."""
+    return unsafe_counter(workers=3, increments=2)
+
+
 class _Tap:
     """A frontier search that records the run stream and checks the
-    frontier's per-cost counts whenever the explorer looks at it."""
+    frontier whenever the explorer looks at it.  ``most`` is the largest
+    number of kept edges costing no more than one of them, up to and
+    including it; ``cross`` whether some edge is past ``2 × limit`` of
+    those but within ``2 × limit`` of its own cost (which a per-cost cap
+    would keep)."""
 
     def __init__(self, search, limit) -> None:
         self.search = search
         self.limit = limit
         self.stream = []
         self.most = 0
+        self.cross = False
         self.dropped = 0
 
     def runs_at_bound(self, bound):
@@ -265,8 +277,13 @@ class _Tap:
 
     def _check(self) -> None:
         frontier = self.search._frontier
-        counts = Counter(e.cost_after for e in frontier)
-        self.most = max([self.most, *counts.values()])
+        seen = Counter()
+        for edge in frontier:
+            cost = edge.cost_after
+            seen[cost] += 1
+            rank = sum(n for c, n in seen.items() if c <= cost)
+            self.most = max(self.most, rank)
+            self.cross |= seen[cost] <= 2 * self.limit < rank
         self.dropped += frontier.dropped
 
     def pruned_at_bound(self) -> bool:
@@ -291,15 +308,17 @@ def _explore(make, program, limit, capped, **kwargs):
     return explorer.explore(program, limit), taps[0]
 
 
-#: (fixed twin or the aborting counter, explorer, limit): cells where the
-#: cap drops edges, the explorer resumes edges at later bounds, and (for
-#: the aborting counter) abandoned runs count towards the limit.
+#: (program, explorer, limit): cells where the cap drops edges, the
+#: explorer resumes edges at later bounds, (for the aborting counter)
+#: abandoned runs count towards the limit, and (for the three counters)
+#: the cap drops edges because of lower-cost ones.
 CAP_CASES = [
     (make_stack_fixed, make_ipb, 4),
     (make_queue_fixed, make_idb, 3),
     (make_aborting_counter, make_ipb, 20),
     (make_aborting_counter, make_idb, 10),
     (make_aborting_counter, make_idb, 20),
+    (make_three_counters, make_idb, 10),
 ]
 
 CAP_VARIANTS = {
@@ -324,6 +343,9 @@ def test_cap_drops_only_edges_no_run_can_reach(case, variant):
     assert tap.dropped > 0  # the cap engaged on this cell
     assert free.dropped == 0
     assert tap.most <= 2 * limit < free.most
+    assert not tap.cross
+    if factory is make_three_counters:
+        assert free.cross  # a per-cost cap would keep more
     assert capped.as_dict() == uncapped.as_dict()
     assert tap.stream == free.stream
     assert capped.executions == uncapped.executions

@@ -26,6 +26,7 @@ import itertools
 import os
 import random
 import stat
+import time
 
 import pytest
 
@@ -40,6 +41,7 @@ from repro.core import (
 from repro.core.bounds import NoBoundCost
 from repro.core.budget import Budget
 from repro.core.dfs import BoundedDFS
+from repro.core.explorer import EngineCounters
 from repro.core.iterative import FrontierSearch
 from repro.engine import snapshot as snap
 from repro.racedetect.vectorclock import VectorClock
@@ -256,6 +258,184 @@ def test_holder_eviction_falls_back_to_replay(cap, monkeypatch):
         assert search._cross.resumed == 0
     else:
         assert search._cross.evicted > 0
+
+
+# -- look-ahead --------------------------------------------------------------
+
+
+#: SMALL_GRID plus a program with three-way choice points, whose
+#: cross-bound holders own two edges of one cost.
+LOOK_AHEAD_GRID = SMALL_GRID + [lambda: unsafe_counter(workers=3, increments=1)]
+
+
+def _observe(records, counters):
+    out = []
+    for record in records:
+        counters.observe(record.result)
+        out.append((tuple(record.result.schedule), record.result.outcome,
+                    record.cost, record.pruned_any))
+    return out
+
+
+def _look_ahead_view(kind, factory):
+    """Run stream, per-bound frontiers and prefix-step counters of one
+    snapshot search."""
+    counters = EngineCounters()
+    if kind == "DFS":
+        runner = snap.snapshot_dfs(factory())
+        try:
+            return _observe(runner.runs(), counters), counters.to_payload()
+        finally:
+            runner.close()
+    search = snap.SnapshotFrontierSearch(factory(), kind)
+    view = []
+    try:
+        for bound in range(9):
+            view.append(_observe(search.runs_at_bound(bound), counters))
+            view.append([tuple(e.schedule) for e in search._frontier])
+            if not search.pruned_at_bound():
+                break
+    finally:
+        search.close()
+    return view, counters.to_payload()
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", ["DFS", PREEMPTION], ids=["DFS", "PC"])
+@pytest.mark.parametrize("factory", LOOK_AHEAD_GRID)
+def test_look_ahead_width_changes_nothing(factory, kind, monkeypatch):
+    # One, two or three processes of the search at once: the same runs in
+    # the same order, the same frontiers, and the same prefix steps
+    # replayed and restored.
+    views = []
+    for procs in (1, 2, 3):
+        monkeypatch.setattr(snap, "default_procs", lambda: procs)
+        views.append(_look_ahead_view(kind, factory))
+    assert views[1] == views[0]
+    assert views[2] == views[0]
+    if kind == "DFS":
+        serial = BoundedDFS(factory(), NoBoundCost(), None, fast_replay=True)
+        assert views[0][0] == _observe(serial.runs(), EngineCounters())
+
+
+@needs_fork
+def test_cross_bound_holder_resumes_consecutive_edges_live(monkeypatch):
+    # At a three-way choice point both preempting candidates cost 1, so
+    # one cross-bound holder owns two consecutive bound-1 entries.  The
+    # first may be woken ahead; the second belongs to the first's chain
+    # follow-on, is never woken ahead, and still resumes live.
+    monkeypatch.setattr(snap, "default_procs", lambda: 3)
+    resumed, woken_ahead = [], []
+    real_resume = snap.CrossBoundRegistry.resume
+    real_wake_ahead = snap.CrossBoundRegistry.wake_ahead
+
+    def resume(self, handle, bound, ahead=None):
+        sub = real_resume(self, handle, bound, ahead)
+        if handle is not None:
+            resumed.append((tuple(handle), sub is not None))
+        return sub
+
+    def wake_ahead(self, handle, bound):
+        before = set(self._woken)
+        more = real_wake_ahead(self, handle, bound)
+        woken_ahead.extend(set(self._woken) - before)
+        return more
+
+    monkeypatch.setattr(snap.CrossBoundRegistry, "resume", resume)
+    monkeypatch.setattr(snap.CrossBoundRegistry, "wake_ahead", wake_ahead)
+    factory = LOOK_AHEAD_GRID[-1]
+    serial, _ = _enumerate_bounds(FrontierSearch(factory(), PREEMPTION))
+    snapped, _ = _enumerate_bounds(
+        snap.SnapshotFrontierSearch(factory(), PREEMPTION)
+    )
+    assert snapped == serial
+    assert woken_ahead  # the look-ahead engaged
+    pairs = [
+        (a, b) for (a, live_a), (b, live_b) in zip(resumed, resumed[1:])
+        if a[0] == b[0] and live_a and live_b
+    ]
+    assert pairs
+    assert not any(b in woken_ahead for _, b in pairs)
+
+
+def _free_tokens(fd, n):
+    """Tokens no process holds, counted by a fresh child: a process never
+    conflicts with its own locks."""
+    pid = os.fork()
+    if pid == 0:
+        free = 0
+        for i in range(n):
+            try:
+                fcntl.lockf(fd, fcntl.LOCK_EX | fcntl.LOCK_NB, 1, i)
+            except OSError:
+                continue
+            free += 1
+        os._exit(free)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", ["DFS", "IPB"])
+def test_stop_with_holders_woken_ahead_returns_every_token(kind,
+                                                           monkeypatch):
+    # Stop mid-stream (as a schedule limit does) while holders run ahead:
+    # no child outlives the search and every token is back in the pool,
+    # including tokens taken by running holders that were killed.
+    monkeypatch.setattr(snap, "default_procs", lambda: 3)
+    pools = []
+    real_tokens = snap._search_tokens
+
+    def search_tokens():
+        pools.append(real_tokens())
+        return pools[-1]
+
+    monkeypatch.setattr(snap, "_search_tokens", search_tokens)
+    factory = lambda: producer_consumer_sem(items=2)
+    if kind == "DFS":
+        search = snap.snapshot_dfs(factory())
+        runs = search.runs()
+        ahead = lambda: any(h.ahead for h in search._holders)
+    else:
+        search = snap.SnapshotFrontierSearch(factory(), PREEMPTION)
+
+        def every_bound():
+            for bound in range(9):
+                yield from search.runs_at_bound(bound)
+
+        runs = every_bound()
+        ahead = lambda: any(h.ahead for h in search._cross._woken.values())
+    (tokens,) = pools
+    try:
+        assert any(ahead() for _ in runs)
+        runs.close()  # the runner kills its sibling holders
+        if kind == "IPB":
+            # Kill the cross-bound holders but keep the token file open:
+            # closing it would drop this process's locks with it.
+            search._cross.close()
+        assert not snap._live_children
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # Holders orphaned mid-run exit at their next run boundary; the
+        # locks they took go with them.
+        deadline = time.monotonic() + 30
+        while _free_tokens(tokens.fd, tokens.n) < tokens.n:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        search.close()
+
+
+def test_default_procs_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert snap.default_procs() == 1  # ``taskset -c 0``: no look-ahead
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2, 5})
+    assert snap.default_procs() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    assert snap.default_procs() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert snap.default_procs() == 2
 
 
 # -- pipe ownership ----------------------------------------------------------
