@@ -285,9 +285,13 @@ class Frontier(list):
     could never be resumed.  The first edge is always kept, so the list
     is non-empty exactly when the uncapped one would be.  ``dropped``
     counts the edges left out.
+
+    :meth:`counts` and :meth:`seeded` carry the cap across a process
+    boundary: a shard worker's frontier, seeded with the parent's counts
+    at dispatch, drops only edges the parent's would drop (DESIGN.md §13).
     """
 
-    __slots__ = ("cap", "dropped", "_kept", "_full")
+    __slots__ = ("cap", "dropped", "_kept", "_full", "_elsewhere")
 
     def __init__(self, limit: Optional[int] = None) -> None:
         super().__init__()
@@ -299,6 +303,24 @@ class Frontier(list):
         #: more than it (costs only ever fill up, so every higher cost is
         #: full too).
         self._full: Optional[int] = None
+        #: Kept edges counted in ``_kept`` that another list holds (the
+        #: seed of a :meth:`seeded` frontier).
+        self._elsewhere = 0
+
+    def counts(self) -> tuple:
+        """What decides which edges this frontier drops next: its cap,
+        its kept edges per cost and its full cost."""
+        return self.cap, dict(self._kept), self._full
+
+    @classmethod
+    def seeded(cls, counts: tuple) -> "Frontier":
+        """An empty frontier that drops exactly what one holding the
+        edges behind ``counts`` (:meth:`counts`) would drop next."""
+        frontier = cls()
+        frontier.cap, kept, frontier._full = counts
+        frontier._kept = dict(kept)
+        frontier._elsewhere = sum(kept.values())
+        return frontier
 
     def append(self, edge: PrunedEdge) -> None:
         self.extend((edge,))
@@ -309,11 +331,12 @@ class Frontier(list):
             super().extend(edges)
             return
         kept = self._kept
+        room = cap - self._elsewhere
         for edge in edges:
             cost = edge.cost_after
             full = self._full
             if full is None or cost < full:
-                if len(self) < cap or sum(
+                if len(self) < room or sum(
                     n for c, n in kept.items() if c <= cost
                 ) < cap:
                     kept[cost] = kept.get(cost, 0) + 1

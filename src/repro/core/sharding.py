@@ -15,23 +15,38 @@ DFS order.  A *shard descriptor* is exactly one such edge, serialized
 in-process, detaches the rest of the tree with
 :meth:`BoundedDFS.split_remaining` — an ordered remainder: an exact
 disjoint partition of the remaining subtree, with the bound's pending
-pruned edges in place — and distributes the descriptors the bound
-affords to a process pool; every other edge joins the frontier where it
-stands.  Workers stream back trimmed run summaries plus the frontier
-edges their bound pruned, in DFS order; the parent emits summaries in
-remainder order, which *is* the serial DFS visiting order, so the merged
-stream feeds the unmodified explorer accounting loops and every
+pruned edges in place — and sends it to a process pool in *slices*:
+consecutive edges, one task each.  A worker walks its slice with
+:func:`~repro.core.dfs.in_order`, exploring beneath each edge the bound
+affords and letting every other edge join its frontier where it stands.
+Workers send back trimmed run summaries plus the frontier edges they
+kept, in DFS order; the parent emits summaries in remainder order, which
+*is* the serial DFS visiting order, so the merged stream feeds the
+unmodified explorer accounting loops and every
 ``ExplorationStats.as_dict()`` field matches the serial run by
 construction.  (Only the opt-in ``EngineCounters.replayed_steps``
 telemetry differs: a worker's first run replays its full root prefix
 where the serial search would have taken a minimal backtrack.)
 
-**Work redistribution.**  Each shard task carries a run budget
-(``split_runs``); a worker that exhausts the budget with work left calls
-``split_remaining`` on its own search and returns the leftover
-descriptors, which the parent splices back into the worklist *in place*
-— cooperative splitting of the largest live subtrees, so one huge
-subtree cannot serialize the tail of the computation.
+**Work redistribution.**  A slice holds at most half the run budget
+(``split_runs``) of edges, and at most an equal share per worker of what
+remains of the walk, so every worker has work when a walk starts.  The
+worker walks it under that one budget; when it runs out with work left,
+the worker calls ``split_remaining`` on its current search and returns
+that remainder plus the index of the slice's first unstarted edge (the
+parent still holds those edges).  The parent re-slices both and walks
+them *in place* of the slice — cooperative splitting of the largest
+live subtrees, so one huge subtree cannot serialize the tail of the
+computation.  A slice costs one pickle round trip, where one task per
+edge cost one per edge (mostly a single sub-millisecond execution).
+
+**The frontier cap across processes.**  Each task carries the parent
+frontier's :meth:`~repro.core.dfs.Frontier.counts` at dispatch, and the
+worker's frontier starts from them, so it drops, never materializing or
+shipping them, edges the parent's cap would drop.  It drops no edge the
+parent keeps: the counts cover only edges before the slice and only grow
+(DESIGN.md §13).  Its drops come back with the result and join the
+parent's ``Frontier.dropped``.
 
 **Randomized techniques (Rand / PCT).**  Sharding by schedule-index
 ranges requires a random stream that is a function of the *execution
@@ -65,7 +80,15 @@ from ..engine.trace import Outcome
 from ..runtime.errors import MisuseReport
 from ..runtime.program import Program
 from .bounds import DELAY, NO_BOUND, PREEMPTION, BoundCost
-from .dfs import BoundedDFS, Frontier, OrderCache, PrunedEdge, RunRecord, affords
+from .dfs import (
+    BoundedDFS,
+    Frontier,
+    OrderCache,
+    PrunedEdge,
+    RunRecord,
+    affords,
+    in_order,
+)
 
 #: Default per-task run budget before a worker splits its remainder.
 DEFAULT_SPLIT_RUNS = 64
@@ -379,97 +402,128 @@ class SubtreeSpec:
 def _subtree_worker(
     spec: SubtreeSpec,
     bound: Optional[int],
-    root_payload: dict,
+    payloads: List[dict],
     split_runs: Optional[int],
-    want_frontier: bool,
+    counts: Optional[tuple],
     cross=None,
 ):
-    """Explore one shard descriptor's subtree; the pool entry point (and
-    the snapshot runner's dead-holder fallback).
+    """Walk one shard task — an ordered slice of a remainder, as edge
+    payloads — under one budget of ``split_runs`` runs; the pool entry
+    point (and the snapshot runner's dead-holder fallback).
 
-    Returns ``(runs, frontier, leftovers, exhausted)`` where ``runs`` is
-    a list of ``(RunSummary, cost, pruned_any)`` in DFS order,
-    ``frontier`` the payloads of the edges the bound pruned at points the
-    search finished, in DFS order, ``leftovers`` the ordered remainder
-    given back after the ``split_runs`` budget ran out (untried work and
-    the pending pruned edges in place, all after ``frontier``), and
-    ``exhausted`` whether the subtree was fully enumerated.  A spec
-    unpickled in a pool worker resolves its program here.
+    The walk is :func:`~repro.core.dfs.in_order`: the subtree beneath
+    each edge the bound affords is explored in turn, and every other
+    edge joins the frontier where it stands.  ``counts`` is ``None``
+    when no frontier is wanted, else the parent frontier's
+    :meth:`Frontier.counts` at dispatch: the worker's frontier is seeded
+    with them, so it drops only edges the parent's would drop and never
+    ships them.
+
+    Returns ``(runs, frontier, leftovers, unstarted, exhausted,
+    dropped)``: ``runs`` is a list of ``(RunSummary, cost, pruned_any)``
+    in DFS order; ``frontier`` the payloads of the edges the frontier
+    kept, in DFS order, pickled as one block (``b""`` when none), so a
+    result waiting for its turn at the parent holds bytes, not a dict
+    and a schedule list per edge; when the budget ran out with work left,
+    ``leftovers`` (payloads) is the current subtree's ordered remainder
+    and ``unstarted`` the index of the slice's first unstarted edge —
+    together the rest of the slice, all after ``frontier``;
+    ``exhausted`` whether the whole slice was enumerated; ``dropped``
+    how many edges the frontier dropped.  A spec unpickled in a pool
+    worker resolves its program here.
 
     ``cross`` (inline mode only — fds don't cross the pool boundary) is
     the search's :class:`repro.engine.snapshot.CrossBoundRegistry`: if
-    the descriptor carries a live holder handle the whole subtree is
-    adopted from the parked process image — zero prefix replay — and new
-    deep pruned points park fresh holders for the next bound.  Pool
-    workers get ``cross=None`` and replay classically; the merged stream
-    is byte-identical either way.
+    an edge carries a live holder handle its whole subtree is adopted
+    from the parked process image — zero prefix replay — and new deep
+    pruned points park fresh holders for the next bound.  Pool workers
+    get ``cross=None`` and replay classically; the merged stream is
+    byte-identical either way.
     """
     snapshot_mod = None
     if spec.snapshots or cross is not None:
         from ..engine import snapshot as snapshot_mod
-    if cross is not None:
-        handle = root_payload.get("holder")
-        if handle is not None:
-            sub = cross.resume((handle[0], handle[1]), bound)
-            if sub is not None:
-                runs = [
-                    (rec.result, rec.cost, rec.pruned_any)
-                    for rec in snapshot_mod.decode_batch(
-                        sub, root_payload["schedule"]
-                    )
-                ]
-                # A holder batch is all-or-nothing (its records have no
-                # edge descriptors left to split), same as the snapshot
-                # runner's mid-batch overrun of the split budget.
-                return runs, sub["frontier"], [], sub["exhausted"]
     if spec.program is None:
         spec.program = _cached_program(spec.program_source)
-    frontier: Optional[List[PrunedEdge]] = [] if want_frontier else None
-    root = PrunedEdge.from_payload(root_payload)
-    if spec.snapshots and snapshot_mod.fork_available():
-        # No look-ahead tokens: holders run only in their turn, so a
-        # worker keeps one process busy and never oversubscribes the pool.
-        search = snapshot_mod.SnapshotRunner(
-            spec, bound, root=root, frontier=frontier, cross=cross
-        )
-    else:
-        search = spec.search(bound, root, frontier)
+    frontier = None if counts is None else Frontier.seeded(counts)
+    sink = [] if frontier is None else frontier
+    remainder = [PrunedEdge.from_payload(p) for p in payloads]
     runs: List[Tuple[RunSummary, int, bool]] = []
     leftovers: List[dict] = []
     exhausted = True
-    stream = search.runs()
-    try:
-        for record in stream:
-            result = record.result
-            summary = (
-                result
-                if isinstance(result, RunSummary)
-                else RunSummary.from_result(result)
+    for root in in_order(remainder, bound, sink):
+        sub = None
+        if cross is not None and root.holder is not None:
+            sub = cross.resume(root.holder, bound)
+        if sub is not None:
+            # A holder batch is all-or-nothing (its records have no edge
+            # descriptors left to split), same as the snapshot runner's
+            # mid-batch overrun of the split budget.
+            runs.extend(
+                (rec.result, rec.cost, rec.pruned_any)
+                for rec in snapshot_mod.decode_batch(sub, root.schedule)
             )
-            runs.append((summary, record.cost, record.pruned_any))
-            if summary.outcome is Outcome.TIMEOUT:
-                # Budget expired mid-subtree: the parent stops the whole
-                # exploration at this record, so the remainder is moot.
-                exhausted = False
-                break
-            if (
-                split_runs is not None
-                and len(runs) >= split_runs
-                and not search.exhausted
-                # A snapshot runner mid holder batch holds records that
-                # have no edge descriptor (their child already exited);
-                # overrun the soft split budget to the batch boundary
-                # rather than lose them.
-                and not getattr(search, "mid_batch", False)
-            ):
-                leftovers = [e.to_payload() for e in search.split_remaining()]
-                break
-    finally:
-        stream.close()
-    frontier_payloads = (
-        [e.to_payload() for e in frontier] if frontier else []
+            sink.extend(PrunedEdge.from_payload(p) for p in sub["frontier"])
+            exhausted = sub["exhausted"]
+        else:
+            if spec.snapshots and snapshot_mod.fork_available():
+                # No look-ahead tokens: holders run only in their turn, so
+                # a worker keeps one process busy and never oversubscribes
+                # the pool.
+                search = snapshot_mod.SnapshotRunner(
+                    spec, bound, root=root, frontier=frontier, cross=cross
+                )
+            else:
+                search = spec.search(bound, root, frontier)
+            stream = search.runs()
+            try:
+                for record in stream:
+                    result = record.result
+                    summary = (
+                        result
+                        if isinstance(result, RunSummary)
+                        else RunSummary.from_result(result)
+                    )
+                    runs.append((summary, record.cost, record.pruned_any))
+                    if summary.outcome is Outcome.TIMEOUT:
+                        # Budget expired mid-subtree: the parent stops the
+                        # whole exploration at this record, so the rest
+                        # of the slice is moot.
+                        exhausted = False
+                        break
+                    if (
+                        split_runs is not None
+                        and len(runs) >= split_runs
+                        and not search.exhausted
+                        # A snapshot runner mid holder batch holds records
+                        # that have no edge descriptor (their child
+                        # already exited); overrun the soft split budget
+                        # to the batch boundary rather than lose them.
+                        and not getattr(search, "mid_batch", False)
+                    ):
+                        leftovers = [
+                            e.to_payload() for e in search.split_remaining()
+                        ]
+                        break
+            finally:
+                stream.close()
+        if (
+            not exhausted
+            or leftovers
+            or (split_runs is not None and len(runs) >= split_runs)
+        ):
+            break
+    return (
+        runs,
+        pickle.dumps(
+            [e.to_payload() for e in frontier],
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ) if frontier else b"",
+        leftovers,
+        len(payloads) - len(remainder),
+        exhausted and not leftovers and not remainder,
+        0 if frontier is None else frontier.dropped,
     )
-    return runs, frontier_payloads, leftovers, exhausted and search.exhausted
 
 
 def _random_shard_worker(
@@ -530,12 +584,15 @@ def _pct_shard_worker(
 
 
 class _ShardItem:
-    """One worklist entry: an edge and, once dispatched, its result."""
+    """One worklist entry: an ordered slice of the remainder and, once
+    dispatched, its result.  A slice the bound affords nothing of is
+    never sent: its edges join the frontier when it reaches the head."""
 
-    __slots__ = ("edge", "future", "result")
+    __slots__ = ("edges", "sends", "future", "result")
 
-    def __init__(self, edge: PrunedEdge) -> None:
-        self.edge = edge
+    def __init__(self, edges: List[PrunedEdge], bound: Optional[int]) -> None:
+        self.edges = edges
+        self.sends = any(affords(bound, e) for e in edges)
         self.future = None
         self.result = None
 
@@ -622,13 +679,50 @@ class ShardedSearchBase:
         if cross is not None:
             cross.close()
 
-    def _submit(self, bound: Optional[int], payload: dict, want_frontier: bool):
-        args = (self.spec, bound, payload, self.split_runs, want_frontier)
+    def _submit(
+        self, bound: Optional[int], payload: List[dict], want_frontier: bool
+    ):
+        """Dispatch one slice (edge payloads); a wanted frontier is seeded
+        with ``self._frontier``'s counts as they stand now."""
+        counts = self._frontier.counts() if want_frontier else None
+        args = (self.spec, bound, payload, self.split_runs, counts)
         if self.inline:
             return _inline_future(_subtree_worker, *args, self._cross)
         if self._pool is None:
             self._pool = shard_pool(self.shards)
         return self._pool.submit(_subtree_worker, *args)
+
+    def _absorb(self, head: _ShardItem, bound: Optional[int]):
+        """Take the head's result: its frontier joins ``self._frontier``
+        and the rest of its slice becomes new items, in order.  Returns
+        ``(runs, exhausted, items)``."""
+        runs, frontier, leftovers, unstarted, exhausted, dropped = head.result
+        head.result = None
+        if frontier:
+            self._frontier.extend(
+                PrunedEdge.from_payload(p) for p in pickle.loads(frontier)
+            )
+        if dropped:
+            self._frontier.dropped += dropped
+        rest = [PrunedEdge.from_payload(p) for p in leftovers]
+        rest.extend(head.edges[unstarted:])
+        rest.reverse()
+        items = []
+        while rest:
+            items.append(_ShardItem(self._slice(rest), bound))
+        return runs, exhausted, items
+
+    def _slice(self, stack: List[PrunedEdge]) -> List[PrunedEdge]:
+        """Pop the next task's edges off ``stack`` (an ordered remainder,
+        reversed): at most half the run budget of them (rounded up), and
+        at most an equal share per worker of what remains, so every worker
+        has work when a walk starts."""
+        half = -(-self.split_runs // 2)
+        size = max(1, min(half, -(-len(stack) // self.shards)))
+        edges = stack[-size:]
+        del stack[-size:]
+        edges.reverse()
+        return edges
 
     def _split_and_drive(
         self,
@@ -659,46 +753,50 @@ class ShardedSearchBase:
         want_frontier: bool,
         on_last: Optional[Callable[[], None]] = None,
     ) -> Iterator[RunRecord]:
-        """Walk an ordered remainder: dispatch each edge the bound affords
-        and emit its runs in exact DFS order; every other edge joins
-        ``self._frontier`` where it stands.
+        """Walk an ordered remainder in slices: send consecutive edges as
+        one task (:func:`_subtree_worker`) and emit the runs in exact DFS
+        order; a slice's edges the bound does not afford join the
+        frontier where they stand.
 
         ``roots`` (``split_remaining``'s output or the old frontier) is
         consumed as the walk goes; edges become payloads here, at the pool
         boundary.  The head item's runs are emitted the moment its result
-        arrives, after its frontier payloads join ``self._frontier``;
-        leftovers from a split are walked *in place of* the head — they
-        are interior to its subtree, so order is preserved.  Out-of-order
-        completions are buffered.  ``on_last`` fires just before the final
-        record of the final item is yielded (the sharded analogue of the
-        serial search's eager backtracking: ``exhausted`` is accurate at
-        every yield).
+        arrives, after its frontier payloads join ``self._frontier``; the
+        rest of a slice whose budget ran out — the worker's leftovers,
+        then the slice's unstarted edges, which the parent still holds —
+        is walked *in place of* the head: it follows everything the head
+        emitted, so order is preserved.  Out-of-order completions are
+        buffered.  ``on_last`` fires just before the final record of the
+        final item is yielded (the sharded analogue of the serial
+        search's eager backtracking: ``exhausted`` is accurate at every
+        yield).
         """
         roots.reverse()  # pop() walks it front to back
         window: deque = deque()  # reached items, head first
-        waiting: deque = deque()  # reached affordable items not yet sent
+        waiting: deque = deque()  # reached items to send, not yet sent
         in_flight: dict = {}
         try:
             while window or roots:
-                # Keep the earliest undispatched affordable edges in flight.
+                # Keep the earliest unsent slices in flight.
                 while len(in_flight) < self.shards:
                     if waiting:
                         item = waiting.popleft()
                     elif roots:
-                        item = _ShardItem(roots.pop())
+                        item = _ShardItem(self._slice(roots), bound)
                         window.append(item)
-                        if not affords(bound, item.edge):
+                        if not item.sends:
                             continue
                     else:
                         break
                     item.future = self._submit(
-                        bound, item.edge.to_payload(), want_frontier
+                        bound, [e.to_payload() for e in item.edges],
+                        want_frontier,
                     )
                     in_flight[item.future] = item
                 head = window[0]
-                if not affords(bound, head.edge):
+                if not head.sends:
                     window.popleft()
-                    self._frontier.append(head.edge)
+                    self._frontier.extend(head.edges)
                     continue
                 if head.result is None:
                     done, _ = wait(
@@ -710,21 +808,9 @@ class ShardedSearchBase:
                         item.future = None
                     continue
                 window.popleft()
-                runs, frontier, leftovers, exhausted = head.result
-                head.result = None  # free early; emitted below
-                if frontier:
-                    self._frontier.extend(
-                        PrunedEdge.from_payload(p) for p in frontier
-                    )
-                if leftovers:
-                    items = [
-                        _ShardItem(PrunedEdge.from_payload(p))
-                        for p in leftovers
-                    ]
-                    window.extendleft(reversed(items))
-                    waiting.extendleft(
-                        reversed([i for i in items if affords(bound, i.edge)])
-                    )
+                runs, exhausted, rest = self._absorb(head, bound)
+                window.extendleft(reversed(rest))
+                waiting.extendleft(reversed([i for i in rest if i.sends]))
                 last_item = not window and not roots
                 for i, (summary, cost, pruned_any) in enumerate(runs):
                     if (
@@ -772,12 +858,12 @@ class ShardedFrontierSearch(ShardedSearchBase):
     ``pruned_at_bound`` / ``close``), same enumerated set, order and
     frontier: at bound 0 the parent executes run #1 in-process with the
     frontier as its sink and distributes the rest of the tree; at later
-    bounds the walk over the old frontier dispatches the edges the bound
-    affords as shard descriptors and keeps the others where they stand.
-    Workers ship the edges their bound pruned back as payloads, in DFS
-    order; disjoint subtrees never duplicate an edge, so the union is
-    exactly the serial frontier, in the serial order.  ``limit`` caps it
-    exactly as the serial frontier is capped.
+    bounds the old frontier is walked the same way, in slices whose
+    edges the bound does not afford stay where they stand.  Workers ship
+    the edges they keep back as payloads, in DFS order; disjoint
+    subtrees never duplicate an edge, so the union is exactly the serial
+    frontier, in the serial order.  ``limit`` caps it exactly as the
+    serial frontier is capped, on both sides of the pool boundary.
     """
 
     def __init__(

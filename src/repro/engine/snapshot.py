@@ -1184,25 +1184,14 @@ class SnapshotRunner:
         batch = _batch(msg)
         if batch is not None:
             return batch
-        bound = self.dfs.bound
-        segments: List[bytes] = []
-        frontier: List[dict] = []
-        exhausted = True
-        for edge in holder.owns:
-            if not affords(bound, edge):
-                frontier.append(edge.to_payload())
-                continue
-            runs, sub_frontier, _, exhausted = _subtree_worker(
-                self._spec, bound, edge.to_payload(), None,
-                self._frontier is not None,
-            )
-            segments.append(
-                pickle.dumps(runs, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            frontier.extend(sub_frontier)
-            if not exhausted:
-                break
-        return {"segments": segments, "frontier": frontier,
+        runs, frontier, _, _, exhausted, _ = _subtree_worker(
+            self._spec, self.dfs.bound,
+            [e.to_payload() for e in holder.owns], None,
+            None if self._frontier is None else Frontier().counts(),
+        )
+        return {"segments": [pickle.dumps(runs,
+                                          protocol=pickle.HIGHEST_PROTOCOL)],
+                "frontier": pickle.loads(frontier) if frontier else [],
                 "exhausted": exhausted}
 
     def _emit_holder(self, final_ok: bool) -> Iterator[RunRecord]:

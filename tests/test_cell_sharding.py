@@ -50,10 +50,12 @@ from repro.core.iterative import FrontierSearch
 
 from .programs import (
     barrier_rendezvous,
+    crasher,
     figure1,
     lock_order_deadlock,
     lost_signal,
     producer_consumer_sem,
+    safe_counter,
     unsafe_counter,
 )
 
@@ -211,6 +213,112 @@ def test_tiny_split_budget_still_equivalent(split_runs, monkeypatch):
     ipb_serial = make_ipb().explore(factory(), 10_000)
     ipb_sharded = make_ipb(shards=3).explore(factory(), 10_000)
     assert _canon(ipb_serial) == _canon(ipb_sharded)
+
+
+#: The frontier-equivalence program grid as picklable program sources,
+#: for a real pool.
+POOL_GRID = [
+    figure1,
+    functools.partial(figure1, clone_count=2),
+    functools.partial(unsafe_counter, workers=2, increments=1),
+    functools.partial(unsafe_counter, workers=2, increments=2),
+    functools.partial(unsafe_counter, workers=3, increments=1),
+    functools.partial(safe_counter, workers=2, increments=2),
+    lock_order_deadlock,
+    lost_signal,
+    functools.partial(barrier_rendezvous, parties=2),
+    functools.partial(producer_consumer_sem, items=2),
+    crasher,
+]
+
+TECHNIQUES = {"DFS": None, "IPB": PREEMPTION, "IDB": DELAY}
+MAKERS = {"DFS": DFSExplorer, "IPB": make_ipb, "IDB": make_idb}
+
+
+def _source_id(source) -> str:
+    if isinstance(source, functools.partial):
+        args = ",".join(f"{k}={v}" for k, v in source.keywords.items())
+        return f"{source.func.__name__}({args})"
+    return source.__name__
+
+
+def _walk(search, cost_model):
+    """The run stream and, per bound, the frontier (as schedules)."""
+    if cost_model is None:
+        return _dfs_stream(search), []
+    runs, frontiers = [], []
+    for bound in range(9):
+        for record in search.runs_at_bound(bound):
+            runs.append((bound, tuple(record.result.schedule), record.cost))
+        frontiers.append([tuple(e.schedule) for e in search._frontier])
+        if not search.pruned_at_bound():
+            break
+    return runs, frontiers
+
+
+@pytest.mark.parametrize("split_runs", [1, 2, 3])
+@pytest.mark.parametrize("technique", sorted(TECHNIQUES))
+@pytest.mark.parametrize("source", POOL_GRID, ids=_source_id)
+def test_slice_boundaries_on_a_real_pool(source, technique, split_runs,
+                                         monkeypatch):
+    # One- or two-edge slices under a one- to three-run budget: budgets
+    # run out mid-edge (the worker's remainder comes back) and at slice
+    # boundaries (unstarted edges go back), and IDB slices pass edges the
+    # bound does not afford through to the frontier
+    # (test_slice_boundary_cases_are_reached).
+    monkeypatch.setattr(sharding, "DEFAULT_SPLIT_RUNS", split_runs)
+    cost_model = TECHNIQUES[technique]
+    if cost_model is None:
+        serial = BoundedDFS(source())
+        sharded = ShardedDFS(source(), shards=2, program_source=source)
+    else:
+        serial = FrontierSearch(source(), cost_model)
+        sharded = ShardedFrontierSearch(
+            source(), cost_model, shards=2, program_source=source
+        )
+    try:
+        assert _walk(sharded, cost_model) == _walk(serial, cost_model)
+    finally:
+        sharded.close()
+    make = MAKERS[technique]
+    assert _canon(
+        make(shards=2, program_source=source).explore(source(), 10_000)
+    ) == _canon(make().explore(source(), 10_000))
+
+
+def test_slice_boundary_cases_are_reached(monkeypatch):
+    # The slice-boundary cases, seen from the parent's side: under IPB
+    # budgets run out mid-edge and at slice boundaries; under IDB (every
+    # resumed subtree is one run) slices pass edges through.
+    monkeypatch.setattr(sharding, "DEFAULT_SPLIT_RUNS", 3)
+    seen = {}
+    absorb = sharding.ShardedSearchBase._absorb
+
+    def spy(self, head, bound):
+        _, _, leftovers, unstarted, _, _ = head.result
+        cases = seen[self.spec.cost_model.name]
+        cases["mid-edge"] += bool(leftovers)
+        cases["slice boundary"] += not leftovers and unstarted < len(
+            head.edges
+        )
+        cases["passed through"] += not all(
+            sharding.affords(bound, e) for e in head.edges
+        )
+        return absorb(self, head, bound)
+
+    monkeypatch.setattr(sharding.ShardedSearchBase, "_absorb", spy)
+    source = functools.partial(unsafe_counter, workers=3, increments=1)
+    for cost_model in (PREEMPTION, DELAY):
+        seen[cost_model.name] = Counter()
+        search = ShardedFrontierSearch(
+            source(), cost_model, shards=2, program_source=source
+        )
+        try:
+            _walk(search, cost_model)
+        finally:
+            search.close()
+    assert min(seen["preemption"].values()) > 0, seen
+    assert seen["delay"]["passed through"] > 0, seen
 
 
 def test_split_indices_partition():

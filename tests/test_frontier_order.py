@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import DELAY, PREEMPTION, ShardedFrontierSearch, make_idb, make_ipb
 from repro.core.bounds import BoundCost
-from repro.core.dfs import BoundedDFS, PrunedEdge, affords, in_order
+from repro.core.dfs import BoundedDFS, Frontier, PrunedEdge, affords, in_order
 from repro.core.iterative import FrontierSearch
 from repro.core.sharding import SubtreeSpec
 from repro.engine import snapshot as snap
@@ -266,6 +266,8 @@ class _Tap:
         self.most = 0
         self.cross = False
         self.dropped = 0
+        #: Each completed bound's drops (worker drops included).
+        self.bound_drops = []
 
     def runs_at_bound(self, bound):
         for record in self.search.runs_at_bound(bound):
@@ -288,6 +290,7 @@ class _Tap:
 
     def pruned_at_bound(self) -> bool:
         self._check()
+        self.bound_drops.append(self.search._frontier.dropped)
         return self.search.pruned_at_bound()
 
     def close(self) -> None:
@@ -325,7 +328,41 @@ CAP_VARIANTS = {
     "serial": {},
     "snapshots": {"snapshots": True},
     "shards3": {"shards": 3},
+    # A real two-worker pool (the case's factory is the program source):
+    # workers drop edges under the parent's counts at dispatch.
+    "pool2": {"shards": 2},
 }
+
+
+#: Edge costs in arrival order: several costs, lower ones late, so a
+#: cap of 4 fills a cost, then drops edges because of cheaper ones.
+SEED_COSTS = [2, 1, 2, 3, 1, 2, 2, 3, 1, 1, 2, 3, 1, 2]
+
+
+def test_seeded_frontier_drops_only_what_the_parent_would():
+    # A worker seeded with the parent's counts at dispatch takes a slice
+    # of the stream; the parent takes what the worker kept, then the
+    # rest.  For every dispatch point, slice start and slice end, the
+    # parent ends with the list and drop count of one frontier taking
+    # the whole stream (DESIGN.md §13).
+    edges = [PrunedEdge(None, 0, cost, 0, 0) for cost in SEED_COSTS]
+    whole = Frontier(2)
+    whole.extend(edges)
+    assert whole.dropped > 0
+    n = len(edges)
+    for dispatch in range(n + 1):
+        for start in range(dispatch, n + 1):
+            for end in range(start, n + 1):
+                parent = Frontier(2)
+                parent.extend(edges[:dispatch])
+                worker = Frontier.seeded(parent.counts())
+                parent.extend(edges[dispatch:start])
+                worker.extend(edges[start:end])
+                parent.extend(worker)
+                parent.dropped += worker.dropped
+                parent.extend(edges[end:])
+                assert parent == whole
+                assert parent.dropped == whole.dropped
 
 
 @pytest.mark.parametrize("variant", sorted(CAP_VARIANTS))
@@ -336,6 +373,8 @@ CAP_VARIANTS = {
 def test_cap_drops_only_edges_no_run_can_reach(case, variant):
     factory, make, limit = case
     kwargs = CAP_VARIANTS[variant]
+    if variant == "pool2":
+        kwargs = dict(kwargs, program_source=factory)
     if kwargs.get("snapshots") and not snap.fork_available():
         pytest.skip("os.fork unavailable")
     capped, tap = _explore(make, factory(), limit, True, **kwargs)
@@ -352,3 +391,8 @@ def test_cap_drops_only_edges_no_run_can_reach(case, variant):
     assert capped.counters.to_payload() == uncapped.counters.to_payload()
     if factory is make_aborting_counter:
         assert capped.aborts > 0
+    if variant != "serial":
+        # Every completed bound offers the frontier the serial search's
+        # edges, wherever they are dropped.
+        _, serial = _explore(make, factory(), limit, True)
+        assert tap.bound_drops == serial.bound_drops
