@@ -84,7 +84,7 @@ from ..racedetect.vectorclock import VectorClock
 from ..runtime.objects import SharedArray
 from ..runtime.ops import Op, OpKind
 from ..runtime.program import Program
-from .explorer import BugReport, ExplorationStats, Explorer
+from .explorer import ExplorationStats, Explorer, Run
 
 # ---------------------------------------------------------------------------
 # Dependency relation
@@ -647,7 +647,6 @@ class DPORExplorer(Explorer):
         #: next run replays, at index ``n`` (the width stats the fast path
         #: skips).
         self._kept_widths: List[Tuple[int, int]] = [(0, 0)]
-        self._abandoned = 0
         self._run_log: Optional[List[Any]] = None
         #: The reconstructed points when seeded (kept after they pop, so a
         #: sharded worker can report backtrack points registered at its
@@ -804,7 +803,6 @@ class DPORExplorer(Explorer):
         self._stack = []
         self.bound_pruned = False
         self.state_cache_hits = 0
-        self._abandoned = 0
         self._state_cache = {} if self._use_state_cache else None
         self._key_index = {}
         self.seed_points = []
@@ -846,7 +844,7 @@ class DPORExplorer(Explorer):
                     result.max_enabled = max_enabled
             if self._run_log is not None:
                 self._run_log.append(result)
-            if self._absorb(stats, result, program.name, limit):
+            if self._absorb(stats, result, limit):
                 return stats
             if not self._backtrack():
                 stats.completed = True
@@ -895,44 +893,29 @@ class DPORExplorer(Explorer):
                 del steps[bisect_left(steps, kept):]
         return len(widths) - 1
 
-    def _absorb(
-        self, stats: ExplorationStats, result: Any, program_name: str, limit: int
-    ) -> bool:
+    def _absorb(self, stats: ExplorationStats, result: Any, limit: int) -> bool:
         """Account one run (or pruned branch) into ``stats``; True = stop.
 
         Shared between the in-process loop and the sharded coordinator,
         which replays workers' run summaries through the identical logic
         so merged stats are byte-for-byte what a serial run produces.
         """
-        stats.executions += 1
         if result is None:
             # Pruned branch (sleep set / state cache): cheap and always
             # retires a candidate, so it needs no abandoned-run cap.
+            stats.executions += 1
             return False
-        stats.observe_run(result)
-        if self._budget_spent(stats, result):
-            return True
-        if result.outcome.is_terminal_schedule:
-            stats.schedules += 1
-            stats.observe_leaks(result)
-            if result.is_buggy:
-                stats.buggy_schedules += 1
-                if stats.first_bug is None:
-                    stats.first_bug = BugReport.from_result(
-                        program_name, result, None, stats.schedules
-                    )
-                    if self.stop_at_first_bug:
-                        return True
-            if stats.schedules >= limit:
-                return True
-        else:
+        run = stats.account(result)
+        if run is Run.ABANDONED:
             # Contained abort / livelock / step limit: no schedule was
             # counted, so ``schedules >= limit`` can never trigger — cap
             # abandoned runs so adversarial programs cannot pin the search.
-            self._abandoned += 1
-            if self._abandoned >= limit:
-                return True
-        return False
+            return stats.abandoned >= limit
+        return (
+            run is Run.TIMEOUT
+            or (run is Run.BUGGY and self.stop_at_first_bug)
+            or stats.schedules >= limit
+        )
 
     def _backtrack(self) -> bool:
         """Advance to the deepest point with an unexplored backtrack
@@ -1023,30 +1006,6 @@ class DPORExplorer(Explorer):
         return {"points": points}
 
 
-def merge_sub_stats(stats: ExplorationStats, sub: ExplorationStats) -> None:
-    """Fold one per-bound/per-entry DPOR sub-exploration into iterative
-    stats (shared by serial and sharded IBPOR drivers)."""
-    stats.executions += sub.executions
-    stats.schedules += sub.schedules
-    stats.new_schedules_at_bound += sub.schedules
-    stats.buggy_schedules += sub.buggy_schedules
-    stats.step_limit_hits += sub.step_limit_hits
-    stats.livelock_hits += sub.livelock_hits
-    stats.max_lasso = max(stats.max_lasso, sub.max_lasso)
-    stats.aborts += sub.aborts
-    for kind, count in sub.abort_kinds.items():
-        stats.abort_kinds[kind] = stats.abort_kinds.get(kind, 0) + count
-    if stats.first_abort is None:
-        stats.first_abort = sub.first_abort
-    for label, count in sub.leaks.items():
-        stats.leaks[label] = stats.leaks.get(label, 0) + count
-    stats.max_enabled = max(stats.max_enabled, sub.max_enabled)
-    stats.max_choice_points = max(stats.max_choice_points, sub.max_choice_points)
-    stats.threads_created = max(stats.threads_created, sub.threads_created)
-    if sub.deadline_hit:
-        stats.deadline_hit = True
-
-
 class IterativeBPORExplorer(Explorer):
     """Iterative bounded partial-order reduction (IBPOR).
 
@@ -1105,21 +1064,20 @@ class IterativeBPORExplorer(Explorer):
         inner.budget = self.budget
         return inner
 
-    def _promote_bug(
-        self, stats: ExplorationStats, sub: ExplorationStats, bound: int
-    ) -> bool:
-        if sub.first_bug is not None and stats.first_bug is None:
-            stats.first_bug = BugReport(
-                sub.first_bug.program_name,
-                sub.first_bug.outcome,
-                sub.first_bug.message,
-                sub.first_bug.schedule,
-                bound,
-                stats.schedules,
-                traceback=sub.first_bug.traceback,
-            )
+    def _fold(self, stats: ExplorationStats, sub: ExplorationStats, bound: int) -> bool:
+        """Fold one bound's or frontier entry's sub-search into ``stats``
+        (the serial, sharded and restart drivers all do); True = stop.
+
+        Every schedule of the sub-search is new at ``bound``.  A sub-search
+        stops at its first bug, so the bug's rebased index is the
+        schedule count so far; it is stamped with ``bound``.
+        """
+        stats.absorb_shard(sub)
+        stats.new_schedules_at_bound += sub.schedules
+        if sub.first_bug is not None:
+            stats.first_bug.bound = bound
             return True
-        return False
+        return stats.deadline_hit or stats.schedules >= stats.limit
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
         if self.shards > 1:
@@ -1135,10 +1093,7 @@ class IterativeBPORExplorer(Explorer):
             for root in frontier:
                 inner = self._inner(bound, frontier_sink=sink, root_payload=root)
                 sub = inner.explore(program, max(1, limit - stats.schedules))
-                merge_sub_stats(stats, sub)
-                if self._promote_bug(stats, sub, bound):
-                    return stats
-                if stats.deadline_hit or stats.schedules >= limit:
+                if self._fold(stats, sub, bound):
                     return stats
             frontier = sink
             if not frontier:

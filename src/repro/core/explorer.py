@@ -10,9 +10,20 @@ the final bound, and how many were buggy.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Any, List, Optional
 
 from ..engine.trace import ExecutionResult, Outcome
+
+
+class Run(Enum):
+    """What one execution was, as :meth:`ExplorationStats.account` finds
+    it."""
+
+    TIMEOUT = "timeout"      # the budget expired: the exploration stops
+    ABANDONED = "abandoned"  # step limit, livelock or contained misuse
+    SCHEDULE = "schedule"    # a terminal schedule
+    BUGGY = "buggy"          # a buggy terminal schedule
 
 
 class BugReport:
@@ -292,8 +303,36 @@ class ExplorationStats:
         guarantee = self.bound - 1 if self.schedules >= self.limit else self.bound
         return guarantee if guarantee >= 0 else None
 
-    def observe_run(self, result: ExecutionResult) -> None:
-        """Fold per-execution extremes into the stats."""
+    @property
+    def abandoned(self) -> int:
+        """Executions abandoned short of a terminal schedule by the step
+        limit, a livelock or contained misuse (a ``TIMEOUT`` ends the
+        exploration instead)."""
+        return self.step_limit_hits + self.aborts
+
+    def account(
+        self, result: ExecutionResult, bound: Optional[int] = None,
+        repeat: bool = False,
+    ) -> Run:
+        """Account one execution: the one place every explorer counts
+        what Table 3 reports.  Returns what the run was; when to stop is
+        the caller's policy.
+
+        Every execution counts in ``executions``, the engine counters
+        (when attached) and the per-run extremes; a ``TIMEOUT`` marks
+        ``deadline_hit``.  A terminal schedule counts in ``schedules``,
+        in ``leaks`` (its terminal-state audit) and, when buggy, in
+        ``buggy_schedules``; the first buggy one becomes ``first_bug``,
+        with ``bound`` and its 1-based schedule index.  Given a
+        ``bound``, a counted schedule is also new at that bound.  A
+        ``repeat`` is a terminal schedule an earlier bound counted
+        already (the restart-per-bound oracle re-executes them): it
+        counts as an execution only, so a schedule's leaks and bug are
+        never counted twice.
+        """
+        self.executions += 1
+        if self.counters is not None:
+            self.counters.observe(result)
         if result.max_enabled > self.max_enabled:
             self.max_enabled = result.max_enabled
         if result.choice_points > self.max_choice_points:
@@ -301,44 +340,55 @@ class ExplorationStats:
         if result.threads_created > self.threads_created:
             self.threads_created = result.threads_created
         outcome = result.outcome
+        if outcome is Outcome.TIMEOUT:
+            self.deadline_hit = True
+            return Run.TIMEOUT
         if outcome is Outcome.STEP_LIMIT:
             self.step_limit_hits += 1
-        elif outcome is Outcome.LIVELOCK:
+            return Run.ABANDONED
+        if outcome is Outcome.LIVELOCK:
             # A lasso-confirmed step-limit hit: keeps the historical
             # ``executions == schedules + step_limit_hits`` accounting.
             self.step_limit_hits += 1
             self.livelock_hits += 1
             if result.lasso_len and result.lasso_len > self.max_lasso:
                 self.max_lasso = result.lasso_len
-        elif outcome is Outcome.ABORT:
+            return Run.ABANDONED
+        if outcome is Outcome.ABORT:
             self.aborts += 1
             if result.misuse is not None:
                 kind = result.misuse.kind.value
                 self.abort_kinds[kind] = self.abort_kinds.get(kind, 0) + 1
                 if self.first_abort is None:
                     self.first_abort = result.misuse.to_payload()
-
-    def observe_leaks(self, result: ExecutionResult) -> None:
-        """Fold an ``OK`` schedule's terminal-state audit in.
-
-        Called where terminal schedules are *counted*, not once per
-        execution: a leak is a property of the schedule, so restart-style
-        backends that re-execute lower-bound schedules must not count the
-        same schedule's leaks twice (the frontier/restart equivalence
-        contract covers ``as_dict``, which includes ``leaks``).
-        """
+            return Run.ABANDONED
+        if repeat:
+            return Run.SCHEDULE
+        self.schedules += 1
+        if bound is not None:
+            self.new_schedules_at_bound += 1
         if result.leaks:
             for label in result.leaks:
                 self.leaks[label] = self.leaks.get(label, 0) + 1
+        if not result.is_buggy:
+            return Run.SCHEDULE
+        self.buggy_schedules += 1
+        if self.first_bug is None:
+            self.first_bug = BugReport.from_result(
+                self.program_name, result, bound, self.schedules
+            )
+        return Run.BUGGY
 
     def absorb_shard(self, shard: "ExplorationStats") -> None:
-        """Fold one shard's stats in, as if its executions had continued
-        this stream (:mod:`repro.core.sharding`, Rand/PCT index ranges).
+        """Fold one sub-run's stats in, as if its executions had continued
+        this stream: a Rand/PCT shard's index range
+        (:mod:`repro.core.sharding`), or one IBPOR bound or frontier entry
+        (:mod:`repro.core.dpor`).
 
-        Shards are absorbed in index order, so sums and maxes accumulate
-        exactly as a serial pass over the concatenated ranges would, and
-        the first bug's 1-based schedule ``index`` is rebased from
-        shard-local to global.
+        Sub-runs are absorbed in stream order, so sums and maxes
+        accumulate exactly as a serial pass over the concatenated runs
+        would, and the first bug's 1-based schedule ``index`` is rebased
+        from sub-run-local to global.
         """
         prior_schedules = self.schedules
         self.schedules += shard.schedules
@@ -478,7 +528,10 @@ class Explorer:
     :class:`repro.core.budget.Budget`.  Budget-aware explorers thread it
     into every :func:`repro.engine.executor.execute` call and stop with
     partial stats (``ExplorationStats.deadline_hit``) when it expires;
-    explorers that ignore it simply run to their limit.
+    explorers that ignore it simply run to their limit.  An expired
+    budget also aborts the *next* execution immediately (the executor
+    polls it before setup), so stopping on the first ``TIMEOUT`` run
+    never spins: completed runs keep their full accounting.
     """
 
     technique = "?"
@@ -488,15 +541,3 @@ class Explorer:
 
     def explore(self, program: Any, limit: int) -> ExplorationStats:
         raise NotImplementedError
-
-    def _budget_spent(self, stats: ExplorationStats, result) -> bool:
-        """Shared deadline bookkeeping: ``True`` (and marks the stats) when
-        the last execution was abandoned because the budget expired.  An
-        expired budget also aborts the *next* execution immediately (the
-        executor polls it before setup), so checking the outcome alone
-        never spins: completed runs keep their full accounting and the
-        stop lands on the first abandoned one."""
-        if result.outcome is Outcome.TIMEOUT:
-            stats.deadline_hit = True
-            return True
-        return False

@@ -41,7 +41,7 @@ from ..runtime.program import Program
 from .bounds import DELAY, NO_BOUND, PREEMPTION, BoundCost
 from .budget import Budget
 from .dfs import Frontier, PrunedEdge, RunRecord, in_order
-from .explorer import BugReport, EngineCounters, ExplorationStats, Explorer
+from .explorer import EngineCounters, ExplorationStats, Explorer, Run
 from .sharding import ShardedDFS, ShardedFrontierSearch, SubtreeSpec
 
 
@@ -210,35 +210,21 @@ class DFSExplorer(Explorer):
         stats = ExplorationStats(self.technique, program.name, limit)
         if self.counters:
             stats.counters = EngineCounters()
-        abandoned = 0
         for record in dfs.runs():
-            stats.executions += 1
-            result = record.result
-            if stats.counters is not None:
-                stats.counters.observe(result)
-            stats.observe_run(result)
-            if self._budget_spent(stats, result):
+            run = stats.account(record.result)
+            if run is Run.TIMEOUT:
                 return stats
-            if not result.outcome.is_terminal_schedule:
+            if run is Run.ABANDONED:
                 # Abandoned runs (step limit, livelock, contained misuse)
                 # don't count as schedules, so an adversarial program whose
                 # every execution is abandoned would never approach the
                 # schedule limit: cap them at the same limit so exploration
                 # always terminates.
-                abandoned += 1
-                if abandoned >= limit:
+                if stats.abandoned >= limit:
                     return stats
                 continue
-            stats.schedules += 1
-            stats.observe_leaks(result)
-            if result.is_buggy:
-                stats.buggy_schedules += 1
-                if stats.first_bug is None:
-                    stats.first_bug = BugReport.from_result(
-                        program.name, result, None, stats.schedules
-                    )
-                    if self.stop_at_first_bug:
-                        return stats
+            if run is Run.BUGGY and self.stop_at_first_bug:
+                return stats
             if stats.schedules >= limit:
                 # Hitting the limit on the very last schedule still means
                 # the space was exhausted (Table 2: "total terminal
@@ -305,51 +291,30 @@ class IterativeBoundingExplorer(Explorer):
         return _backend(self, program, self.cost_model, limit)
 
     def _drain(self, search, stats: ExplorationStats, limit: int) -> ExplorationStats:
-        program_name = stats.program_name
         runs_before_bound = 0
-        abandoned = 0
         for bound in range(self.max_bound + 1):
             stats.bound = bound
             stats.new_schedules_at_bound = 0
-            bug_at_this_bound = False
             if stats.counters is not None and bound > 0:
                 # A restart pass at this bound would begin by re-executing
                 # every run of the earlier bounds.
                 stats.counters.saved_executions += runs_before_bound
             for record in search.runs_at_bound(bound):
-                stats.executions += 1
-                result = record.result
-                if stats.counters is not None:
-                    stats.counters.observe(result)
-                stats.observe_run(result)
-                if self._budget_spent(stats, result):
+                # A run of cost < bound was explored at an earlier bound:
+                # the frontier search never yields one, the restart oracle
+                # in tests/oracles.py re-executes them.
+                run = stats.account(record.result, bound, record.cost < bound)
+                if run is Run.TIMEOUT:
                     return stats
-                if not result.outcome.is_terminal_schedule:
+                if run is Run.ABANDONED:
                     # Same abandoned-run cap as DFS (see DFSExplorer): a
                     # program abandoning every execution must still stop.
-                    abandoned += 1
-                    if abandoned >= limit:
+                    if stats.abandoned >= limit:
                         return stats
-                    continue
-                if record.cost < bound:
-                    # Re-explored from an earlier iteration; not counted.
-                    # (The frontier search never yields these; the
-                    # restart oracle in tests/oracles.py does.)
-                    continue
-                stats.schedules += 1
-                stats.new_schedules_at_bound += 1
-                stats.observe_leaks(result)
-                if result.is_buggy:
-                    stats.buggy_schedules += 1
-                    bug_at_this_bound = True
-                    if stats.first_bug is None:
-                        stats.first_bug = BugReport.from_result(
-                            program_name, result, bound, stats.schedules
-                        )
-                if stats.schedules >= limit:
+                elif stats.schedules >= limit:
                     return stats
             runs_before_bound = stats.executions
-            if bug_at_this_bound:
+            if stats.first_bug is not None:
                 # Bound c fully explored (modulo the limit) and buggy: stop.
                 return stats
             if not search.pruned_at_bound():

@@ -39,10 +39,10 @@ from ..engine.strategies import (
     SchedulerStrategy,
     round_robin_choice,
 )
-from ..engine.trace import ExecutionObserver, ExecutionResult
+from ..engine.trace import ExecutionObserver
 from ..runtime.ops import Op, OpKind
 from ..runtime.program import Program
-from .explorer import BugReport, ExplorationStats, Explorer
+from .explorer import ExplorationStats, Explorer
 
 #: Ordered pair of sites: (first-executed, second-executed).
 Idiom = Tuple[str, str]
@@ -153,7 +153,7 @@ class MapleAlgExplorer(Explorer):
         rng = random.Random(self.seed)
         tested: Set[Idiom] = set()
 
-        def run_one(strategy, extra_observers=()) -> ExecutionResult:
+        def run_one(strategy, extra_observers=()) -> None:
             recorder = _PairRecorder()
             result = execute(
                 program,
@@ -165,19 +165,8 @@ class MapleAlgExplorer(Explorer):
                 budget=self.budget,
             )
             tested.update(recorder.pairs)
-            stats.executions += 1
-            stats.observe_run(result)
-            self._budget_spent(stats, result)
-            if result.outcome.is_terminal_schedule:
-                stats.schedules += 1
-                stats.observe_leaks(result)
-                if result.is_buggy:
-                    stats.buggy_schedules += 1
-                    if stats.first_bug is None:
-                        stats.first_bug = BugReport.from_result(
-                            program.name, result, None, stats.schedules
-                        )
-            return result
+            # A TIMEOUT marks ``deadline_hit``; the next phase check stops.
+            stats.account(result)
 
         # Phase 1: profiling -------------------------------------------------
         run_one(RoundRobinStrategy())

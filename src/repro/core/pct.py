@@ -20,8 +20,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..engine.executor import DEFAULT_MAX_STEPS, execute
 from ..engine.state import Kernel, VisibleFilter
 from ..engine.strategies import RoundRobinStrategy, SchedulerStrategy
+from ..engine.trace import Outcome
 from ..runtime.program import Program
-from .explorer import BugReport, ExplorationStats, Explorer
+from .explorer import ExplorationStats, Explorer, Run
 
 
 class PCTStrategy(SchedulerStrategy):
@@ -94,20 +95,16 @@ class PCTExplorer(Explorer):
         #: Per-execution seeds (sharded mode), as in
         #: :class:`repro.core.random_walk.RandomExplorer`.
         self.execution_seeds: Optional[List[int]] = None
-        #: Skip calibration and use this ``k``: the sharded parent
+        #: Skip calibration and use this ``k``: a sharded explorer
         #: calibrates once (deterministic round-robin, so every shard
-        #: would compute the identical value) and passes it down.
+        #: would compute the identical value) and passes it down to each
+        #: shard's copy.
         self.k_override: Optional[int] = None
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
-        if self.shards > 1 and self.execution_seeds is None:
-            from .sharding import run_sharded_pct
-
-            return run_sharded_pct(self, program, limit)
         stats = ExplorationStats(self.technique, program.name, limit)
-        if self.k_override is not None:
-            k_estimate = max(1, self.k_override)
-        else:
+        k_estimate = self.k_override
+        if k_estimate is None:
             # Calibrate k (execution length in visible steps) from the
             # deterministic round-robin schedule.
             calibration = execute(
@@ -118,9 +115,17 @@ class PCTExplorer(Explorer):
                 record_enabled=False,
                 budget=self.budget,
             )
-            if self._budget_spent(stats, calibration):
+            if calibration.outcome is Outcome.TIMEOUT:
+                stats.deadline_hit = True
                 return stats
-            k_estimate = max(1, calibration.steps)
+            k_estimate = calibration.steps
+        k_estimate = max(1, k_estimate)
+        if self.shards > 1 and self.execution_seeds is None:
+            from .sharding import explore_index_shards
+
+            return explore_index_shards(
+                self, program, limit, k_override=k_estimate
+            )
         seeds = self.execution_seeds
         strategy = (
             PCTStrategy(random.Random(self.seed), k_estimate, self.depth)
@@ -140,20 +145,8 @@ class PCTExplorer(Explorer):
                 record_enabled=False,
                 budget=self.budget,
             )
-            stats.executions += 1
-            stats.observe_run(result)
-            if self._budget_spent(stats, result):
+            # No abandoned-run cap: the loop is bounded by executions.
+            run = stats.account(result)
+            if run is Run.TIMEOUT or (run is Run.BUGGY and self.stop_at_first_bug):
                 return stats
-            if not result.outcome.is_terminal_schedule:
-                continue
-            stats.schedules += 1
-            stats.observe_leaks(result)
-            if result.is_buggy:
-                stats.buggy_schedules += 1
-                if stats.first_bug is None:
-                    stats.first_bug = BugReport.from_result(
-                        program.name, result, None, stats.schedules
-                    )
-                    if self.stop_at_first_bug:
-                        return stats
         return stats

@@ -27,7 +27,7 @@ from ..engine.executor import DEFAULT_MAX_STEPS, execute
 from ..engine.state import VisibleFilter
 from ..engine.strategies import RandomStrategy
 from ..runtime.program import Program
-from .explorer import BugReport, ExplorationStats, Explorer
+from .explorer import ExplorationStats, Explorer, Run
 
 
 class RandomExplorer(Explorer):
@@ -58,16 +58,17 @@ class RandomExplorer(Explorer):
         #: or a module-level factory); ``None`` runs shards in-process.
         self.program_source = program_source
         #: Explicit per-execution seeds (sharded mode): execution ``j``
-        #: uses ``random.Random(execution_seeds[j])``.  Set by the shard
-        #: workers; settable directly for the serial reference stream.
+        #: uses ``random.Random(execution_seeds[j])``.  Set on each
+        #: shard's copy of the explorer; settable directly for the serial
+        #: reference stream.
         self.execution_seeds: Optional[List[int]] = None
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
         """Run ``limit`` random-schedule executions (the paper runs 10,000)."""
         if self.shards > 1 and self.execution_seeds is None:
-            from .sharding import run_sharded_random
+            from .sharding import explore_index_shards
 
-            return run_sharded_random(self, program, limit)
+            return explore_index_shards(self, program, limit)
         stats = ExplorationStats(self.technique, program.name, limit)
         seeds = self.execution_seeds
         strategy = (
@@ -85,20 +86,8 @@ class RandomExplorer(Explorer):
                 spurious_wakeups=self.spurious_wakeups,
                 budget=self.budget,
             )
-            stats.executions += 1
-            stats.observe_run(result)
-            if self._budget_spent(stats, result):
+            # No abandoned-run cap: the loop is bounded by executions.
+            run = stats.account(result)
+            if run is Run.TIMEOUT or (run is Run.BUGGY and self.stop_at_first_bug):
                 return stats
-            if not result.outcome.is_terminal_schedule:
-                continue
-            stats.schedules += 1
-            stats.observe_leaks(result)
-            if result.is_buggy:
-                stats.buggy_schedules += 1
-                if stats.first_bug is None:
-                    stats.first_bug = BugReport.from_result(
-                        program.name, result, None, stats.schedules
-                    )
-                    if self.stop_at_first_bug:
-                        return stats
         return stats

@@ -52,11 +52,14 @@ parent's ``Frontier.dropped``.
 ranges requires a random stream that is a function of the *execution
 index*, not of the shard: execution ``j`` draws from
 ``random.Random(derive_shard_seed(seed, j))`` (SHA-256, same recipe as
-the study's per-cell seeds).  The merged stream is therefore identical
-for every shard count and for the in-process (inline) execution of the
-same plan — but it is *not* the classic single-RNG stream, so sharding
-is part of the experiment's fingerprint (``StudyConfig.cell_shards``).
-``shards=1`` keeps the classic explorers untouched.
+the study's per-cell seeds).  Each shard runs the explorer's own loop
+on a copy of it with ``shards=1`` and the shard's slice of
+``execution_seeds``; PCT calibrates once, in the parent.  The merged
+stream is therefore identical for every shard count and for the
+in-process (inline) execution of the same plan — but it is *not* the
+classic single-RNG stream, so sharding is part of the experiment's
+fingerprint (``StudyConfig.cell_shards``).  ``shards=1`` keeps the
+classic explorers untouched.
 
 **Cancellation.**  The merged stream is a generator; closing it early
 (schedule limit, first-bug-wins, an expired
@@ -68,6 +71,7 @@ worker.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import pickle
 from collections import deque
@@ -204,8 +208,8 @@ class RunSummary:
 
     Shipping full results would drag per-step ``enabled_sets`` and shared
     state across the process boundary; this carries exactly the fields
-    :meth:`ExplorationStats.observe_run` / ``observe_leaks``,
-    :meth:`BugReport.from_result` and :class:`EngineCounters` consume —
+    :meth:`ExplorationStats.account`, :meth:`BugReport.from_result` and
+    :class:`EngineCounters` consume —
     plus the full ``schedule``, which equivalence tests and bug reports
     need.
     """
@@ -405,7 +409,6 @@ def _subtree_worker(
     payloads: List[dict],
     split_runs: Optional[int],
     counts: Optional[tuple],
-    cross=None,
 ):
     """Walk one shard task — an ordered slice of a remainder, as edge
     payloads — under one budget of ``split_runs`` runs; the pool entry
@@ -431,82 +434,59 @@ def _subtree_worker(
     ``exhausted`` whether the whole slice was enumerated; ``dropped``
     how many edges the frontier dropped.  A spec unpickled in a pool
     worker resolves its program here.
-
-    ``cross`` (inline mode only — fds don't cross the pool boundary) is
-    the search's :class:`repro.engine.snapshot.CrossBoundRegistry`: if
-    an edge carries a live holder handle its whole subtree is adopted
-    from the parked process image — zero prefix replay — and new deep
-    pruned points park fresh holders for the next bound.  Pool workers
-    get ``cross=None`` and replay classically; the merged stream is
-    byte-identical either way.
     """
     snapshot_mod = None
-    if spec.snapshots or cross is not None:
+    if spec.snapshots:
         from ..engine import snapshot as snapshot_mod
     if spec.program is None:
         spec.program = _cached_program(spec.program_source)
     frontier = None if counts is None else Frontier.seeded(counts)
-    sink = [] if frontier is None else frontier
     remainder = [PrunedEdge.from_payload(p) for p in payloads]
     runs: List[Tuple[RunSummary, int, bool]] = []
     leftovers: List[dict] = []
     exhausted = True
-    for root in in_order(remainder, bound, sink):
-        sub = None
-        if cross is not None and root.holder is not None:
-            sub = cross.resume(root.holder, bound)
-        if sub is not None:
-            # A holder batch is all-or-nothing (its records have no edge
-            # descriptors left to split), same as the snapshot runner's
-            # mid-batch overrun of the split budget.
-            runs.extend(
-                (rec.result, rec.cost, rec.pruned_any)
-                for rec in snapshot_mod.decode_batch(sub, root.schedule)
+    for root in in_order(remainder, bound, [] if frontier is None else frontier):
+        if spec.snapshots and snapshot_mod.fork_available():
+            # No look-ahead tokens: holders run only in their turn, so a
+            # worker keeps one process busy and never oversubscribes the
+            # pool.
+            search = snapshot_mod.SnapshotRunner(
+                spec, bound, root=root, frontier=frontier
             )
-            sink.extend(PrunedEdge.from_payload(p) for p in sub["frontier"])
-            exhausted = sub["exhausted"]
         else:
-            if spec.snapshots and snapshot_mod.fork_available():
-                # No look-ahead tokens: holders run only in their turn, so
-                # a worker keeps one process busy and never oversubscribes
-                # the pool.
-                search = snapshot_mod.SnapshotRunner(
-                    spec, bound, root=root, frontier=frontier, cross=cross
+            search = spec.search(bound, root, frontier)
+        stream = search.runs()
+        try:
+            for record in stream:
+                result = record.result
+                summary = (
+                    result
+                    if isinstance(result, RunSummary)
+                    else RunSummary.from_result(result)
                 )
-            else:
-                search = spec.search(bound, root, frontier)
-            stream = search.runs()
-            try:
-                for record in stream:
-                    result = record.result
-                    summary = (
-                        result
-                        if isinstance(result, RunSummary)
-                        else RunSummary.from_result(result)
-                    )
-                    runs.append((summary, record.cost, record.pruned_any))
-                    if summary.outcome is Outcome.TIMEOUT:
-                        # Budget expired mid-subtree: the parent stops the
-                        # whole exploration at this record, so the rest
-                        # of the slice is moot.
-                        exhausted = False
-                        break
-                    if (
-                        split_runs is not None
-                        and len(runs) >= split_runs
-                        and not search.exhausted
-                        # A snapshot runner mid holder batch holds records
-                        # that have no edge descriptor (their child
-                        # already exited); overrun the soft split budget
-                        # to the batch boundary rather than lose them.
-                        and not getattr(search, "mid_batch", False)
-                    ):
-                        leftovers = [
-                            e.to_payload() for e in search.split_remaining()
-                        ]
-                        break
-            finally:
-                stream.close()
+                runs.append((summary, record.cost, record.pruned_any))
+                if summary.outcome is Outcome.TIMEOUT:
+                    # Budget expired mid-subtree: the parent stops the
+                    # whole exploration at this record, so the rest of
+                    # the slice is moot.
+                    exhausted = False
+                    break
+                if (
+                    split_runs is not None
+                    and len(runs) >= split_runs
+                    and not search.exhausted
+                    # A snapshot runner mid holder batch holds records
+                    # that have no edge descriptor (their child already
+                    # exited); overrun the soft split budget to the batch
+                    # boundary rather than lose them.
+                    and not getattr(search, "mid_batch", False)
+                ):
+                    leftovers = [
+                        e.to_payload() for e in search.split_remaining()
+                    ]
+                    break
+        finally:
+            stream.close()
         if (
             not exhausted
             or leftovers
@@ -526,58 +506,12 @@ def _subtree_worker(
     )
 
 
-def _random_shard_worker(
-    source,
-    seeds: List[int],
-    visible_filter,
-    max_steps: int,
-    stop_at_first_bug: bool,
-    spurious_wakeups: int,
-    budget,
-    program: Optional[Program] = None,
-) -> dict:
-    """Run one Rand shard: one execution per (index-derived) seed."""
-    from .random_walk import RandomExplorer
-
+def _index_shard_worker(explorer, program: Optional[Program] = None):
+    """Run one Rand/PCT shard: ``explorer`` is a copy of the configured
+    explorer with ``shards=1`` and its slice of ``execution_seeds``."""
     if program is None:
-        program = _cached_program(source)
-    explorer = RandomExplorer(
-        visible_filter=visible_filter,
-        max_steps=max_steps,
-        stop_at_first_bug=stop_at_first_bug,
-        spurious_wakeups=spurious_wakeups,
-        budget=budget,
-    )
-    explorer.execution_seeds = seeds
-    return explorer.explore(program, len(seeds)).to_payload()
-
-
-def _pct_shard_worker(
-    source,
-    seeds: List[int],
-    depth: int,
-    k_estimate: int,
-    visible_filter,
-    max_steps: int,
-    stop_at_first_bug: bool,
-    budget,
-    program: Optional[Program] = None,
-) -> dict:
-    """Run one PCT shard: one execution per seed, shared ``k`` estimate."""
-    from .pct import PCTExplorer
-
-    if program is None:
-        program = _cached_program(source)
-    explorer = PCTExplorer(
-        depth=depth,
-        visible_filter=visible_filter,
-        max_steps=max_steps,
-        stop_at_first_bug=stop_at_first_bug,
-        budget=budget,
-    )
-    explorer.execution_seeds = seeds
-    explorer.k_override = k_estimate
-    return explorer.explore(program, len(seeds)).to_payload()
+        program = _cached_program(explorer.program_source)
+    return explorer.explore(program, len(explorer.execution_seeds))
 
 
 # -- the parent-side merge --------------------------------------------------
@@ -628,7 +562,6 @@ class ShardedSearchBase:
         *,
         shards: int,
         program_source=None,
-        split_runs: Optional[int] = None,
         visible_filter=None,
         max_steps: int = DEFAULT_MAX_STEPS,
         spurious_wakeups: int = 0,
@@ -644,8 +577,9 @@ class ShardedSearchBase:
                 "or run unsharded)"
             )
         self.shards = shards
-        #: Per-task run budget before a worker splits its remainder.
-        self.split_runs = DEFAULT_SPLIT_RUNS if split_runs is None else split_runs
+        #: Per-task run budget before a worker splits its remainder (read
+        #: at construction, so tests can tune it through the constant).
+        self.split_runs = DEFAULT_SPLIT_RUNS
         self.spec = SubtreeSpec(
             program,
             cost_model,
@@ -657,9 +591,6 @@ class ShardedSearchBase:
             snapshots=snapshots,
         )
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Cross-bound snapshot registry (inline frontier search only);
-        #: created by :class:`ShardedFrontierSearch` when snapshots are on.
-        self._cross = None
 
     @property
     def inline(self) -> bool:
@@ -669,15 +600,11 @@ class ShardedSearchBase:
         return self.spec.program_source is None or self.shards == 1
 
     def close(self) -> None:
-        """Release the worker pool and any parked cross-bound holders
-        (idempotent)."""
+        """Release the worker pool (idempotent)."""
         pool = self._pool
         self._pool = None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        cross = self._cross
-        if cross is not None:
-            cross.close()
 
     def _submit(
         self, bound: Optional[int], payload: List[dict], want_frontier: bool
@@ -687,7 +614,7 @@ class ShardedSearchBase:
         counts = self._frontier.counts() if want_frontier else None
         args = (self.spec, bound, payload, self.split_runs, counts)
         if self.inline:
-            return _inline_future(_subtree_worker, *args, self._cross)
+            return _inline_future(_subtree_worker, *args)
         if self._pool is None:
             self._pool = shard_pool(self.shards)
         return self._pool.submit(_subtree_worker, *args)
@@ -878,15 +805,6 @@ class ShardedFrontierSearch(ShardedSearchBase):
         self._limit = limit
         self._frontier = Frontier(limit)
         self._started = False
-        if self.spec.snapshots and self.inline:
-            from ..engine import snapshot as snapshot_mod
-
-            if snapshot_mod.fork_available():
-                # Inline shard tasks run in this process, so frontier
-                # entries can resume from cross-bound parked holders
-                # (engine/snapshot.py).  Pool workers can't adopt fds;
-                # they keep the classic replay path.
-                self._cross = snapshot_mod.CrossBoundRegistry()
 
     def runs_at_bound(self, bound: int) -> Iterator[RunRecord]:
         if not self._started:
@@ -917,117 +835,68 @@ def split_indices(limit: int, shards: int) -> List[Tuple[int, int]]:
     return [r for r in ranges if r[0] < r[1]]
 
 
-def _merge_shard_payloads(stats, payloads: List[dict], stop_at_first_bug: bool):
-    """Fold per-shard stats payloads into ``stats`` in shard order.
+def explore_index_shards(explorer, program: Program, limit: int, **fixed):
+    """Sharded Rand/PCT: contiguous ranges of per-index seeds
+    (:func:`split_indices`), folded in shard order.
 
-    Mirrors a serial pass over the concatenated index ranges: sums and
-    maxes accumulate shard by shard; the first bug keeps the earliest
-    *global* schedule index; under ``stop_at_first_bug`` the shards after
-    the first buggy one are discarded (the serial run would never have
-    reached their indices)."""
-    from .explorer import ExplorationStats
-
-    for payload in payloads:
-        shard = ExplorationStats.from_payload(payload)
-        stats.absorb_shard(shard)
-        if stop_at_first_bug and stats.first_bug is not None:
-            break
-        if shard.deadline_hit:
-            break
-    return stats
-
-
-def run_sharded_random(explorer, program: Program, limit: int):
-    """Sharded Rand: per-index seeds, contiguous ranges, ordered merge."""
-    from .explorer import ExplorationStats
-
-    return _run_index_shards(
-        explorer,
-        program,
-        limit,
-        _random_shard_worker,
-        (
-            explorer.visible_filter,
-            explorer.max_steps,
-            explorer.stop_at_first_bug,
-            explorer.spurious_wakeups,
-            explorer.budget,
-        ),
-        ExplorationStats(explorer.technique, program.name, limit),
-    )
-
-
-def run_sharded_pct(explorer, program: Program, limit: int):
-    """Sharded PCT: parent-side calibration (deterministic round-robin,
-    identical ``k`` everywhere), then per-index seeded executions."""
-    from ..engine.strategies import RoundRobinStrategy
+    Each shard runs the explorer's own loop on a copy of ``explorer``
+    with ``shards=1``, its slice of ``execution_seeds`` and the ``fixed``
+    attributes (PCT's parent-calibrated ``k_override``).  Folding mirrors
+    a serial pass over the concatenated ranges
+    (:meth:`ExplorationStats.absorb_shard`); the shards after a deadline,
+    or after the first bug under ``stop_at_first_bug``, are discarded —
+    the serial run would never have reached their indices.
+    """
     from .explorer import ExplorationStats
 
     stats = ExplorationStats(explorer.technique, program.name, limit)
-    calibration = execute(
-        program,
-        RoundRobinStrategy(),
-        max_steps=explorer.max_steps,
-        visible_filter=explorer.visible_filter,
-        record_enabled=False,
-        budget=explorer.budget,
-    )
-    if explorer._budget_spent(stats, calibration):
-        return stats
-    return _run_index_shards(
-        explorer,
-        program,
-        limit,
-        _pct_shard_worker,
-        (
-            explorer.depth,
-            max(1, calibration.steps),
-            explorer.visible_filter,
-            explorer.max_steps,
-            explorer.stop_at_first_bug,
-            explorer.budget,
-        ),
-        stats,
-    )
-
-
-def _run_index_shards(explorer, program, limit, worker, args, stats):
-    """Common Rand/PCT fan-out: split the per-index seeds into shard
-    ranges, run ``worker(source, seeds, *args)`` for every shard (pool or
-    inline), merge payloads in shard order."""
-    shards = explorer.shards
-    ranges = split_indices(limit, shards)
-    if not ranges:
-        return stats
-    seeds = [derive_shard_seed(explorer.seed, j) for j in range(limit)]
-    source = explorer.program_source
-    if source is None or shards == 1:
-        payloads = [
-            worker(source, seeds[start:stop], *args, program=program)
-            for start, stop in ranges
-        ]
-        return _merge_shard_payloads(
-            stats, payloads, explorer.stop_at_first_bug
+    tasks = []
+    for start, stop in split_indices(limit, explorer.shards):
+        shard = copy.copy(explorer)
+        vars(shard).update(
+            fixed,
+            shards=1,
+            execution_seeds=[
+                derive_shard_seed(explorer.seed, j) for j in range(start, stop)
+            ],
         )
-    pool = shard_pool(shards)
+        tasks.append((shard,))
+    pool = None if explorer.program_source is None else shard_pool(explorer.shards)
+    results = _in_turn(pool, 2 * explorer.shards, _index_shard_worker, tasks, program)
     try:
-        futures = [
-            pool.submit(worker, source, seeds[start:stop], *args)
-            for start, stop in ranges
-        ]
-        payloads = []
-        for i, fut in enumerate(futures):
-            payloads.append(fut.result())
-            if explorer.stop_at_first_bug and payloads[-1].get("first_bug"):
-                # First-bug-wins: everything after this shard is moot.
-                for later in futures[i + 1 :]:
-                    later.cancel()
+        for sub in results:
+            stats.absorb_shard(sub)
+            if sub.deadline_hit or (
+                explorer.stop_at_first_bug and stats.first_bug is not None
+            ):
                 break
-        return _merge_shard_payloads(
-            stats, payloads, explorer.stop_at_first_bug
-        )
+        return stats
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        results.close()
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _in_turn(pool, width: int, fn: Callable, tasks: List[tuple], program):
+    """Yield ``fn(*task)`` for each task, in order.  Through ``pool``, at
+    most ``width`` tasks are in flight, and closing the generator cancels
+    the ones not yet running (close it before the pool shuts down).  With
+    no pool each task runs here, when its turn comes, on ``program``."""
+    if pool is None:
+        for task in tasks:
+            yield fn(*task, program)
+        return
+    window: deque = deque()
+    try:
+        for task in tasks:
+            window.append(pool.submit(fn, *task))
+            if len(window) >= width:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        for fut in window:
+            fut.cancel()
 
 
 # -- DPOR / BPOR sharding -----------------------------------------------------
@@ -1189,7 +1058,6 @@ def explore_sharded_dpor(explorer, program: Program, limit: int):
 
     stats = ExplorationStats(explorer.technique, program.name, limit)
     explorer.bound_pruned = False
-    explorer._abandoned = 0
     probe = _probe_root(explorer, program)
     if probe.enabled is None:
         # No scheduling point at all: one run decides everything.
@@ -1283,7 +1151,7 @@ def explore_sharded_dpor(explorer, program: Program, limit: int):
             if w_pruned:
                 explorer.bound_pruned = True
             for item in summaries:
-                if explorer._absorb(stats, item, program.name, limit):
+                if explorer._absorb(stats, item, limit):
                     return stats
             backtrack.update(root_bt)
             done.add(head)
@@ -1307,9 +1175,9 @@ def explore_sharded_dpor(explorer, program: Program, limit: int):
 def explore_sharded_ibpor(explorer, program: Program, limit: int):
     """Sharded frontier-resuming IBPOR: bound 0 runs in-process (the
     non-preemptive space is tiny); every later bound farms its frontier
-    entries to workers and absorbs their run streams in entry order with
-    the exact per-entry limits the serial loop would use."""
-    from .dpor import merge_sub_stats
+    entries to workers, at most ``2 × shards`` in flight, and absorbs
+    their run streams in entry order with the exact per-entry limits the
+    serial loop would use."""
     from .explorer import ExplorationStats
 
     stats = ExplorationStats(explorer.technique, program.name, limit)
@@ -1323,10 +1191,7 @@ def explore_sharded_ibpor(explorer, program: Program, limit: int):
             if bound == 0:
                 inner = explorer._inner(0, frontier_sink=sink)
                 sub = inner.explore(program, max(1, limit - stats.schedules))
-                merge_sub_stats(stats, sub)
-                if explorer._promote_bug(stats, sub, 0):
-                    return stats
-                if stats.deadline_hit or stats.schedules >= limit:
+                if explorer._fold(stats, sub, 0):
                     return stats
             else:
                 if explorer.program_source is not None and pool is None:
@@ -1341,36 +1206,28 @@ def explore_sharded_ibpor(explorer, program: Program, limit: int):
                     explorer.budget,
                     limit,
                 )
-                if pool is not None:
-                    results = (
-                        fut.result()
-                        for fut in [
-                            pool.submit(_ibpor_entry_worker, spec, entry)
-                            for entry in frontier
-                        ]
-                    )
-                else:
-                    # Inline: one entry at a time, so an early stop skips
-                    # the remaining entries exactly like the serial loop.
-                    results = (
-                        _ibpor_entry_worker(spec, entry, program)
-                        for entry in frontier
-                    )
-                for summaries, entry_sink in results:
-                    inner_limit = max(1, limit - stats.schedules)
-                    shadow = explorer._inner(bound)
-                    sub = ExplorationStats(
-                        shadow.technique, program.name, inner_limit
-                    )
-                    for item in summaries:
-                        if shadow._absorb(sub, item, program.name, inner_limit):
-                            break
-                    merge_sub_stats(stats, sub)
-                    if explorer._promote_bug(stats, sub, bound):
-                        return stats
-                    if stats.deadline_hit or stats.schedules >= limit:
-                        return stats
-                    sink.extend(entry_sink)
+                # Inline (no pool), one entry runs at a time, so an early
+                # stop skips the remaining entries exactly like the serial
+                # loop.
+                results = _in_turn(
+                    pool, 2 * explorer.shards, _ibpor_entry_worker,
+                    [(spec, entry) for entry in frontier], program,
+                )
+                try:
+                    for summaries, entry_sink in results:
+                        inner_limit = max(1, limit - stats.schedules)
+                        shadow = explorer._inner(bound)
+                        sub = ExplorationStats(
+                            shadow.technique, program.name, inner_limit
+                        )
+                        for item in summaries:
+                            if shadow._absorb(sub, item, inner_limit):
+                                break
+                        if explorer._fold(stats, sub, bound):
+                            return stats
+                        sink.extend(entry_sink)
+                finally:
+                    results.close()
             frontier = sink
             if not frontier:
                 stats.completed = True

@@ -423,10 +423,9 @@ class _Child:
 class CrossBoundRegistry:
     """Root-owned registry of holders parked across bound transitions.
 
-    One instance lives on a :class:`SnapshotFrontierSearch` (or a sharded
-    inline search) and is shared — by reference in the root, by COW image
-    in every forked descendant — with every :class:`SnapshotRunner` the
-    search creates.  Whichever process records a deep bound-pruned point
+    One instance lives on a :class:`SnapshotFrontierSearch` and is shared
+    — by reference in the root, by COW image in every forked descendant —
+    with every :class:`SnapshotRunner` the search creates.  Whichever process records a deep bound-pruned point
     forks one parked holder owning *all* of that point's pruned edges and
     registers it here; frontier entries carry ``(holder_id, index)``
     handles, and :meth:`resume` wakes the holder when a later bound

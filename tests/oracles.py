@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.core.bounds import DELAY, PREEMPTION, BoundCost
 from repro.core.budget import Budget
 from repro.core.dfs import BoundedDFS, OrderCache, RunRecord
-from repro.core.dpor import IterativeBPORExplorer, merge_sub_stats
+from repro.core.dpor import IterativeBPORExplorer
 from repro.core.explorer import ExplorationStats
 from repro.core.iterative import IterativeBoundingExplorer
 from repro.engine.executor import DEFAULT_MAX_STEPS, execute
@@ -191,10 +191,7 @@ class RestartIBPOR(IterativeBPORExplorer):
             stats.new_schedules_at_bound = 0
             inner = self._inner(bound)
             sub = inner.explore(program, max(1, limit - stats.schedules))
-            merge_sub_stats(stats, sub)
-            if self._promote_bug(stats, sub, bound):
-                return stats
-            if stats.deadline_hit or stats.schedules >= limit:
+            if self._fold(stats, sub, bound):
                 return stats
             if sub.completed and not inner.bound_pruned:
                 stats.completed = True

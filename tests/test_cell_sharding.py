@@ -127,9 +127,10 @@ def _dfs_stream(dfs):
 @pytest.mark.parametrize(
     "factory", [figure1, lambda: unsafe_counter(workers=3, increments=1)]
 )
-def test_dfs_schedule_stream_identical_in_order(factory, shards):
+def test_dfs_schedule_stream_identical_in_order(factory, shards, monkeypatch):
+    monkeypatch.setattr(sharding, "DEFAULT_SPLIT_RUNS", 4)
     serial = _dfs_stream(BoundedDFS(factory()))
-    sharded_dfs = ShardedDFS(factory(), shards=shards, split_runs=4)
+    sharded_dfs = ShardedDFS(factory(), shards=shards)
     try:
         sharded = _dfs_stream(sharded_dfs)
     finally:
@@ -154,12 +155,12 @@ def _bound_stream(search, max_bound=8):
 
 @pytest.mark.parametrize("cost_model", [PREEMPTION, DELAY], ids=["PC", "DC"])
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_frontier_schedule_stream_identical_in_order(cost_model, shards):
+def test_frontier_schedule_stream_identical_in_order(cost_model, shards,
+                                                     monkeypatch):
+    monkeypatch.setattr(sharding, "DEFAULT_SPLIT_RUNS", 3)
     factory = lambda: figure1(clone_count=2)
     serial = _bound_stream(FrontierSearch(factory(), cost_model))
-    search = ShardedFrontierSearch(
-        factory(), cost_model, shards=shards, split_runs=3
-    )
+    search = ShardedFrontierSearch(factory(), cost_model, shards=shards)
     try:
         sharded = _bound_stream(search)
     finally:
@@ -428,10 +429,9 @@ def test_rand_budget_sharded_drains_cleanly():
     assert stats.schedules < 10_000
 
 
-def test_closing_the_run_stream_early_cancels():
-    dfs = ShardedDFS(
-        unsafe_counter(workers=3, increments=1), shards=3, split_runs=2
-    )
+def test_closing_the_run_stream_early_cancels(monkeypatch):
+    monkeypatch.setattr(sharding, "DEFAULT_SPLIT_RUNS", 2)
+    dfs = ShardedDFS(unsafe_counter(workers=3, increments=1), shards=3)
     try:
         gen = dfs.runs()
         first = next(gen)
@@ -484,11 +484,12 @@ class TestProcessPool:
 
         info = get(POOL_BENCH)
         source = ("bench", POOL_BENCH)
-        inline = RandomExplorer(seed=9, shards=2).explore(info.make(), 100)
-        pooled = RandomExplorer(
-            seed=9, shards=2, program_source=source
-        ).explore(info.make(), 100)
-        assert _canon(inline) == _canon(pooled)
+        for explorer in (RandomExplorer, PCTExplorer):
+            inline = explorer(seed=9, shards=2).explore(info.make(), 100)
+            pooled = explorer(
+                seed=9, shards=2, program_source=source
+            ).explore(info.make(), 100)
+            assert _canon(inline) == _canon(pooled)
 
     def test_unshippable_cost_model_is_rejected(self):
         from repro.core.bounds import BoundCost

@@ -181,6 +181,48 @@ def test_pool_sharded_iterative_bpor_matches_serial():
     assert _canon(serial) == _canon(sharded)
 
 
+def test_pool_sharded_iterative_bpor_keeps_a_bounded_window(monkeypatch):
+    # A bound's frontier entries go to the pool at most 2 x shards ahead
+    # of the entry being folded, so a search that stops at its bug sends
+    # few entries it never folds (chess.WSQ's later bounds hold hundreds).
+    from repro.core import sharding
+    from repro.sctbench import get
+
+    submitted = []
+    make_pool = sharding.shard_pool
+
+    def counting_pool(workers):
+        pool = make_pool(workers)
+        submit = pool.submit
+
+        def counted(fn, *args):
+            submitted.append(fn)
+            return submit(fn, *args)
+
+        pool.submit = counted
+        return pool
+
+    folded = []
+    fold = IterativeBPORExplorer._fold
+
+    def counting_fold(self, stats, sub, bound):
+        folded.append(bound)
+        return fold(self, stats, sub, bound)
+
+    monkeypatch.setattr(sharding, "shard_pool", counting_pool)
+    monkeypatch.setattr(IterativeBPORExplorer, "_fold", counting_fold)
+    info = get("chess.WSQ")
+    serial = IterativeBPORExplorer().explore(info.make(), 300)
+    folded.clear()
+    sharded = IterativeBPORExplorer(
+        shards=2, program_source=("bench", "chess.WSQ")
+    ).explore(info.make(), 300)
+    assert _canon(serial) == _canon(sharded)
+    assert sharded.found_bug
+    entries = sum(1 for bound in folded if bound > 0)
+    assert 0 < entries < len(submitted) <= entries + 2 * 2
+
+
 # ---------------------------------------------------------------------------
 # Frontier resumption vs restart-per-bound
 # ---------------------------------------------------------------------------

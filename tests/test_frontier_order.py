@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import DELAY, PREEMPTION, ShardedFrontierSearch, make_idb, make_ipb
+from repro.core import sharding
 from repro.core.bounds import BoundCost
 from repro.core.dfs import BoundedDFS, Frontier, PrunedEdge, affords, in_order
 from repro.core.iterative import FrontierSearch
@@ -52,10 +53,10 @@ SEARCHES = {
         program, cost
     ),
     "shards1": lambda program, cost: ShardedFrontierSearch(
-        program, cost, shards=1, split_runs=2
+        program, cost, shards=1
     ),
     "shards3": lambda program, cost: ShardedFrontierSearch(
-        program, cost, shards=3, split_runs=2
+        program, cost, shards=3
     ),
 }
 
@@ -89,9 +90,11 @@ def _stream(dfs):
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 @pytest.mark.parametrize("cost_model", [PREEMPTION, DELAY], ids=["IPB", "IDB"])
 @pytest.mark.parametrize("factory", GRID)
-def test_every_frontier_is_in_oracle_order(factory, cost_model, name):
+def test_every_frontier_is_in_oracle_order(factory, cost_model, name,
+                                           monkeypatch):
     if name == "snapshots" and not snap.fork_available():
         pytest.skip("os.fork unavailable")
+    monkeypatch.setattr(sharding, "DEFAULT_SPLIT_RUNS", 2)
     runs, frontiers = _enumerate(SEARCHES[name](factory(), cost_model))
     program = factory()
     for frontier in frontiers:

@@ -189,8 +189,8 @@ def test_bounded_run_streams_identical_in_order(factory, cost_model):
 def test_iterative_matrix_serial_vs_snapshots_vs_shards(factory, name, shards):
     # The full cross-bound matrix: serial vs snapshots vs snapshots x
     # shards must agree byte-for-byte whether frontier entries resume
-    # from parked holders, are adopted by inline shard workers, or are
-    # re-derived by classic replay in pool workers.
+    # from parked holders or are re-derived by classic replay in shard
+    # workers.
     make = MAKERS[name]
     serial = _explore(make, factory)
     snapped = _explore(make, factory, snapshots=True, shards=shards)
