@@ -1066,7 +1066,7 @@ class IterativeBPORExplorer(Explorer):
 
     def _fold(self, stats: ExplorationStats, sub: ExplorationStats, bound: int) -> bool:
         """Fold one bound's or frontier entry's sub-search into ``stats``
-        (the serial, sharded and restart drivers all do); True = stop.
+        (the serial, sharded and restart loops all do); True = stop.
 
         Every schedule of the sub-search is new at ``bound``.  A sub-search
         stops at its first bug, so the bug's rebased index is the
