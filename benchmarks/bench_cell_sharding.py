@@ -7,11 +7,9 @@ both.  Results land in ``BENCH_parallel.json``.
 
 The identity gate per technique family:
 
-- **DFS / IPB / IDB / DPOR / BPOR**: the sharded run must produce
-  ``as_dict()`` stats byte-identical to the *classic serial* explorer —
-  sharding is pure work distribution over an exact disjoint partition of
-  the search tree (DPOR farms its top-level branches, BPOR its per-bound
-  frontier entries).
+- **DFS / IPB / IDB**: the sharded run must produce ``as_dict()`` stats
+  byte-identical to the *classic serial* explorer — sharding is pure work
+  distribution over an exact disjoint partition of the search tree.
 - **Rand / PCT**: ``shards >= 2`` switches to the index-seeded random
   stream (a different experiment than the classic shared-RNG stream, by
   design — see ``StudyConfig.cell_shards``), so the baseline is the
@@ -30,7 +28,7 @@ overhead and the serial/sharded ratio documents that honestly.
 
 Run:  PYTHONPATH=src python benchmarks/bench_cell_sharding.py
       [--shards N] [--limit N] [--rand-limit N] [--out BENCH_parallel.json]
-      [--subjects a,b,...] [--techniques DFS,IPB,IDB,DPOR,BPOR,Rand,PCT]
+      [--subjects a,b,...] [--techniques DFS,IPB,IDB,Rand,PCT]
 
 Exit status is non-zero when any stats-identity check fails — that (not
 timing) is what the CI perf-smoke job enforces.
@@ -46,8 +44,6 @@ import time
 
 from repro.core import (
     DFSExplorer,
-    DPORExplorer,
-    IterativeBPORExplorer,
     PCTExplorer,
     RandomExplorer,
     make_idb,
@@ -70,7 +66,7 @@ SUBJECTS = {
     "fixed.reorder": make_reorder_fixed,
 }
 
-SYSTEMATIC = ("DFS", "IPB", "IDB", "DPOR", "BPOR")
+SYSTEMATIC = ("DFS", "IPB", "IDB")
 RANDOMIZED = ("Rand", "PCT")
 TECHNIQUES = SYSTEMATIC + RANDOMIZED
 
@@ -84,10 +80,6 @@ def _make(technique: str, **kwargs):
         return make_ipb(**kwargs)
     if technique == "IDB":
         return make_idb(**kwargs)
-    if technique == "DPOR":
-        return DPORExplorer(**kwargs)
-    if technique == "BPOR":
-        return IterativeBPORExplorer(**kwargs)
     if technique == "Rand":
         return RandomExplorer(seed=RAND_SEED, **kwargs)
     if technique == "PCT":

@@ -6,8 +6,8 @@ paper reports: the Table 3 grid for the subset, the Figure 2 Venn regions,
 and the Figure 3 scatter (IDB vs IPB schedules-to-first-bug).
 
 ``--jobs N`` fans the (benchmark, technique) cells out over N worker
-processes via :class:`repro.study.ParallelStudyRunner` — the results are
-identical to the serial run, just faster on a multi-core box.
+processes — the results are identical to the serial run, just faster on
+a multi-core box.
 
 The full 52-benchmark study at the paper's 10,000-schedule limit is
 ``python -m repro.study --limit 10000 --out results/``.
@@ -19,7 +19,6 @@ import argparse
 
 from repro.sctbench import suite_of
 from repro.study import (
-    ParallelStudyRunner,
     engine_cost_summary,
     figure3_series,
     quick_config,
@@ -57,10 +56,7 @@ def main() -> None:
     print(f"Running the CS suite ({len(config.benchmarks)} benchmarks), "
           f"limit {LIMIT:,} schedules per technique, jobs={config.jobs}, "
           f"shards={config.cell_shards}...\n")
-    if config.jobs > 1:
-        study = ParallelStudyRunner(config, checkpoint_dir=None).run()
-    else:
-        study = run_study(config, progress=lambda m: None)
+    study = run_study(config)
 
     print(table3(study))
     print()

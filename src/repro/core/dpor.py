@@ -11,8 +11,7 @@ top of our stateless, replay-based engine:
   one writes, or both are lock-like operations on the same object.
   Independent operations may be swapped without changing the outcome.
   Keys are built from stable per-kernel :class:`NamingScope` names, not
-  ``id(target)`` — ids can be reused after GC within one process and are
-  meaningless across the process boundary a sharded worker sits behind.
+  ``id(target)`` — ids can be reused after GC within one process.
 - **Backtrack sets** (DPOR): when executing an operation, find the most
   recent earlier operation it is dependent on and not already causally
   ordered after (via vector clocks — the packed
@@ -44,10 +43,10 @@ top of our stateless, replay-based engine:
   registered any backtrack point in the new prefix.  Subtrees that *do*
   conflict with the prefix are re-explored in full — that keeps the
   classic unsoundness of naive stateful DPOR out.  The cache is scoped to
-  one top-level branch (cleared whenever the root point retires a choice)
-  so that serial and sharded exploration make identical decisions.  The
-  prefix check reads the key index too: only steps touching a key of the
-  cached footprint can conflict with it.
+  one top-level branch (cleared whenever the root point retires a choice);
+  the scoping is kept because it fixes DPOR's counted schedules and cache
+  hits.  The prefix check reads the key index too: only steps touching a
+  key of the cached footprint can conflict with it.
 
 Guarantee (tested with hypothesis against full DFS): DPOR explores a
 subset of the terminal schedules, at least one per Mazurkiewicz trace —
@@ -283,7 +282,6 @@ class _Point:
         "increments",
         "cost_before",
         "fingerprint",
-        "frozen",
         "initial_sleep_empty",
         "agg_reads",
         "agg_writes",
@@ -305,9 +303,6 @@ class _Point:
         self.cost_before = 0
         #: Full-state fingerprint at this point (None = unstable/uncached).
         self.fingerprint: Optional[Any] = None
-        #: A frozen point never yields further candidates — a sharded
-        #: worker's seeded root, whose siblings belong to other workers.
-        self.frozen = False
         #: Whether this point was created with an empty inherited sleep
         #: set; only then is the subtree's coverage self-contained and its
         #: state-cache entry sound.
@@ -347,8 +342,6 @@ class _Point:
         the sleep-set argument no longer holds — sleeping candidates are
         only skipped when an awake one exists, and every candidate must be
         affordable within the bound."""
-        if self.frozen:
-            return set()
         base = self.backtrack - self.done
         if bound is not None:
             base = {
@@ -358,7 +351,7 @@ class _Point:
             return awake if awake else base
         return base - self.sleep
 
-    # -- serialization (sharding + frontier resumption) --------------------
+    # -- serialization (frontier resumption) -------------------------------
 
     def to_payload(self, *, closed: bool = False, on_path: bool = True) -> Dict[str, Any]:
         """A picklable snapshot of the scheduling decision state.
@@ -379,7 +372,6 @@ class _Point:
             "chosen": self.chosen if on_path else None,
             "increments": dict(self.increments),
             "cost_before": self.cost_before,
-            "frozen": self.frozen,
         }
 
     @classmethod
@@ -390,7 +382,6 @@ class _Point:
         p.chosen = d["chosen"]
         p.increments = dict(d["increments"])
         p.cost_before = d["cost_before"]
-        p.frozen = bool(d.get("frozen"))
         # Reconstructed points never seed the state cache: their coverage
         # context (sleep provenance) is not visible here.
         p.initial_sleep_empty = False
@@ -606,8 +597,6 @@ class DPORExplorer(Explorer):
         state_cache: bool = True,
         frontier_sink: Optional[List[Dict[str, Any]]] = None,
         root_payload: Optional[Dict[str, Any]] = None,
-        shards: int = 1,
-        program_source: Any = None,
         budget: Any = None,
     ) -> None:
         self.visible_filter = visible_filter
@@ -629,10 +618,8 @@ class DPORExplorer(Explorer):
         #: here (the BPOR frontier — explored at bound+1 instead of
         #: restarting from scratch).
         self.frontier_sink = frontier_sink
-        #: Optional serialized stack prefix to resume/shard from.
+        #: Optional serialized stack prefix to resume from.
         self.root_payload = root_payload
-        self.shards = shards
-        self.program_source = program_source
         #: State-cache prunes taken (diagnostic; not part of stats).
         self.state_cache_hits = 0
         self._use_state_cache = state_cache and preemption_bound is None
@@ -648,10 +635,6 @@ class DPORExplorer(Explorer):
         #: skips).
         self._kept_widths: List[Tuple[int, int]] = [(0, 0)]
         self._run_log: Optional[List[Any]] = None
-        #: The reconstructed points when seeded (kept after they pop, so a
-        #: sharded worker can report backtrack points registered at its
-        #: frozen root).
-        self.seed_points: List[_Point] = []
 
     def _analyse(self, j: int) -> None:
         """Clock + backtrack analysis for the completed step ``j``.
@@ -795,22 +778,16 @@ class DPORExplorer(Explorer):
     # -- exploration ----------------------------------------------------------
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
-        if self.shards > 1 and self.root_payload is None:
-            from .sharding import explore_sharded_dpor
-
-            return explore_sharded_dpor(self, program, limit)
         stats = ExplorationStats(self.technique, program.name, limit)
         self._stack = []
         self.bound_pruned = False
         self.state_cache_hits = 0
         self._state_cache = {} if self._use_state_cache else None
         self._key_index = {}
-        self.seed_points = []
         if self.root_payload is not None:
             self._stack = [
                 _Point.from_payload(d) for d in self.root_payload["points"]
             ]
-            self.seed_points = list(self._stack)
             if self._stack[-1].chosen is None and not self._backtrack():
                 stats.completed = True
                 return stats
@@ -894,12 +871,7 @@ class DPORExplorer(Explorer):
         return len(widths) - 1
 
     def _absorb(self, stats: ExplorationStats, result: Any, limit: int) -> bool:
-        """Account one run (or pruned branch) into ``stats``; True = stop.
-
-        Shared between the in-process loop and the sharded coordinator,
-        which replays workers' run summaries through the identical logic
-        so merged stats are byte-for-byte what a serial run produces.
-        """
+        """Account one run (or pruned branch) into ``stats``; True = stop."""
         if result is None:
             # Pruned branch (sleep set / state cache): cheap and always
             # retires a candidate, so it needs no abandoned-run cap.
@@ -930,10 +902,10 @@ class DPORExplorer(Explorer):
                 point.sleep.add(point.chosen)
                 point.chosen = None
                 if len(stack) == 1 and self._state_cache is not None:
-                    # Top-level branch retired: scope the cache to one
-                    # branch so sharded workers (which each own a single
-                    # top-level branch) prune exactly like the serial
-                    # search does.
+                    # Top-level branch retired: the cache is scoped to
+                    # one branch.  The scoping fixes which revisits hit
+                    # the cache, hence DPOR's counted schedules and
+                    # cache hits, so it is kept.
                     self._state_cache.clear()
             if bound is not None:
                 base = point.backtrack - point.done
@@ -963,11 +935,7 @@ class DPORExplorer(Explorer):
             parent.agg_reads |= point.agg_reads
             parent.agg_writes |= point.agg_writes
         bound = self.preemption_bound
-        if (
-            bound is not None
-            and self.frontier_sink is not None
-            and not point.frozen
-        ):
+        if bound is not None and self.frontier_sink is not None:
             pruned = [
                 t
                 for t in point.backtrack - point.done
@@ -978,7 +946,6 @@ class DPORExplorer(Explorer):
         if (
             self._state_cache is not None
             and depth > 0
-            and not point.frozen
             and point.fingerprint is not None
             and point.initial_sleep_empty
             and not (point.backtrack - point.done)
@@ -1035,8 +1002,6 @@ class IterativeBPORExplorer(Explorer):
         visible_filter: Optional[VisibleFilter] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         max_bound: int = 64,
-        shards: int = 1,
-        program_source: Any = None,
         budget: Any = None,
     ) -> None:
         self.visible_filter = visible_filter
@@ -1044,8 +1009,6 @@ class IterativeBPORExplorer(Explorer):
             self.budget = budget
         self.max_steps = max_steps
         self.max_bound = max_bound
-        self.shards = shards
-        self.program_source = program_source
 
     def _inner(
         self,
@@ -1066,7 +1029,7 @@ class IterativeBPORExplorer(Explorer):
 
     def _fold(self, stats: ExplorationStats, sub: ExplorationStats, bound: int) -> bool:
         """Fold one bound's or frontier entry's sub-search into ``stats``
-        (the serial, sharded and restart loops all do); True = stop.
+        (the serial and restart loops both do); True = stop.
 
         Every schedule of the sub-search is new at ``bound``.  A sub-search
         stops at its first bug, so the bug's rebased index is the
@@ -1080,10 +1043,6 @@ class IterativeBPORExplorer(Explorer):
         return stats.deadline_hit or stats.schedules >= stats.limit
 
     def explore(self, program: Program, limit: int) -> ExplorationStats:
-        if self.shards > 1:
-            from .sharding import explore_sharded_ibpor
-
-            return explore_sharded_ibpor(self, program, limit)
         stats = ExplorationStats(self.technique, program.name, limit)
         frontier: List[Dict[str, Any]] = [None]  # bound 0: one full search
         for bound in range(self.max_bound + 1):

@@ -78,8 +78,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from ..engine.executor import DEFAULT_MAX_STEPS, execute
-from ..engine.strategies import SchedulerStrategy, round_robin_choice
+from ..engine.executor import DEFAULT_MAX_STEPS
 from ..engine.trace import Outcome
 from ..runtime.errors import MisuseReport
 from ..runtime.program import Program
@@ -897,342 +896,3 @@ def _in_turn(pool, width: int, fn: Callable, tasks: List[tuple], program):
     finally:
         for fut in window:
             fut.cancel()
-
-
-# -- DPOR / BPOR sharding -----------------------------------------------------
-#
-# A serial DPOR run sequence decomposes exactly by the root scheduling
-# point's candidate: first every run with ``stack[0].chosen == c1`` (the
-# round-robin default), then every run of the next retired candidate, and
-# so on.  One branch's exploration depends on the root state only through
-# (candidate, sleep set) — the sleep set being the candidates retired
-# before it — so a fresh worker seeded with a *frozen* root payload
-# replays the branch's entire run sequence deterministically, including
-# any backtrack candidates the branch registers *at* the root (reported
-# back, because they decide which branches exist).  The parent absorbs
-# the workers' run streams branch by branch, in serial order, through
-# ``DPORExplorer._absorb`` — the same accounting the serial loop uses,
-# with the parent's global schedule/abandoned counters — so it truncates
-# exactly where the serial search would and every ``as_dict()`` field
-# matches by construction.
-#
-# Branch order beyond the head is speculative (a branch can register new
-# root candidates that outrank the predicted successor); dispatches are
-# keyed by (candidate, sleep-set content), the full behavioural key, so a
-# mispredicted dispatch is simply left pending and a correctly-keyed one
-# is issued — worst case wasted work, never a wrong merge.
-
-
-class DporShardSpec:
-    """Everything a DPOR branch/entry worker needs besides its payload."""
-
-    __slots__ = (
-        "program_source",
-        "visible_filter",
-        "max_steps",
-        "stop_at_first_bug",
-        "preemption_bound",
-        "state_cache",
-        "budget",
-        "limit",
-    )
-
-    def __init__(
-        self,
-        program_source,
-        visible_filter,
-        max_steps: int,
-        stop_at_first_bug: bool,
-        preemption_bound: Optional[int],
-        state_cache: bool,
-        budget,
-        limit: int,
-    ) -> None:
-        self.program_source = program_source
-        self.visible_filter = visible_filter
-        self.max_steps = max_steps
-        self.stop_at_first_bug = stop_at_first_bug
-        self.preemption_bound = preemption_bound
-        self.state_cache = state_cache
-        self.budget = budget
-        self.limit = limit
-
-
-def _dpor_branch_worker(
-    spec: DporShardSpec, root_payload: dict, program: Optional[Program] = None
-):
-    """Explore one root branch; returns (run summaries, root backtrack,
-    bound_pruned).  The run list is a superset of what the serial search
-    would execute in this branch (the worker runs with the whole-search
-    limit); the parent truncates during absorption."""
-    from .dpor import DPORExplorer
-
-    if program is None:
-        program = _cached_program(spec.program_source)
-    explorer = DPORExplorer(
-        visible_filter=spec.visible_filter,
-        max_steps=spec.max_steps,
-        stop_at_first_bug=spec.stop_at_first_bug,
-        preemption_bound=spec.preemption_bound,
-        state_cache=spec.state_cache,
-        root_payload=root_payload,
-    )
-    explorer.budget = spec.budget
-    log: list = []
-    explorer._run_log = log
-    explorer.explore(program, spec.limit)
-    summaries = [None if r is None else RunSummary.from_result(r) for r in log]
-    root_bt = (
-        sorted(explorer.seed_points[0].backtrack) if explorer.seed_points else []
-    )
-    return summaries, root_bt, explorer.bound_pruned
-
-
-def _ibpor_entry_worker(
-    spec: DporShardSpec, entry_payload: dict, program: Optional[Program] = None
-):
-    """Resume one IBPOR frontier entry at ``spec.preemption_bound``;
-    returns (run summaries, frontier entries for the next bound)."""
-    from .dpor import DPORExplorer
-
-    if program is None:
-        program = _cached_program(spec.program_source)
-    sink: list = []
-    explorer = DPORExplorer(
-        visible_filter=spec.visible_filter,
-        max_steps=spec.max_steps,
-        stop_at_first_bug=True,
-        preemption_bound=spec.preemption_bound,
-        state_cache=False,
-        frontier_sink=sink,
-        root_payload=entry_payload,
-    )
-    explorer.budget = spec.budget
-    log: list = []
-    explorer._run_log = log
-    explorer.explore(program, spec.limit)
-    summaries = [None if r is None else RunSummary.from_result(r) for r in log]
-    return summaries, sink
-
-
-class _RootProbe(SchedulerStrategy):
-    """Round-robin probe that records the first scheduling point's inputs
-    (the root structure every branch payload is built from)."""
-
-    def __init__(self) -> None:
-        self.enabled: Optional[Tuple[int, ...]] = None
-        self.last_tid = 0
-        self.num_created = 0
-
-    def choose(self, step_index, enabled, last_tid, kernel):
-        if step_index == 0:
-            self.enabled = enabled
-            self.last_tid = last_tid
-            self.num_created = kernel.num_created
-        return round_robin_choice(enabled, last_tid, kernel.num_created)
-
-
-def _probe_root(explorer, program):
-    """One throwaway execution (not counted in stats) to discover the
-    root point's enabled set and preemption increments."""
-    probe = _RootProbe()
-    execute(
-        program,
-        probe,
-        max_steps=explorer.max_steps,
-        visible_filter=explorer.visible_filter,
-        record_enabled=False,
-        budget=explorer.budget,
-    )
-    return probe
-
-
-def explore_sharded_dpor(explorer, program: Program, limit: int):
-    """Sharded DPOR/BPOR: per-branch worker farm with serial-order merge.
-
-    ``explorer`` is the dispatching :class:`~repro.core.dpor.DPORExplorer`
-    (``shards > 1``); its ``_absorb`` + counters do the accounting, so the
-    merged stats match a serial ``shards=1`` run byte-for-byte.
-    """
-    from .explorer import ExplorationStats
-
-    stats = ExplorationStats(explorer.technique, program.name, limit)
-    explorer.bound_pruned = False
-    probe = _probe_root(explorer, program)
-    if probe.enabled is None:
-        # No scheduling point at all: one run decides everything.
-        from .dpor import DPORExplorer
-
-        inner = DPORExplorer(
-            visible_filter=explorer.visible_filter,
-            max_steps=explorer.max_steps,
-            stop_at_first_bug=explorer.stop_at_first_bug,
-            preemption_bound=explorer.preemption_bound,
-            state_cache=explorer._use_state_cache,
-        )
-        inner.budget = explorer.budget
-        return inner.explore(program, limit)
-    enabled = probe.enabled
-    bound = explorer.preemption_bound
-    increments = {
-        t: (1 if t != probe.last_tid and probe.last_tid in enabled else 0)
-        for t in enabled
-    }
-    if bound is None:
-        selectable = list(enabled)
-    else:
-        selectable = [t for t in enabled if increments[t] <= bound]
-        if len(selectable) < len(enabled):
-            explorer.bound_pruned = True
-    first = round_robin_choice(tuple(selectable), probe.last_tid, probe.num_created)
-    spec = DporShardSpec(
-        explorer.program_source,
-        explorer.visible_filter,
-        explorer.max_steps,
-        explorer.stop_at_first_bug,
-        bound,
-        explorer._use_state_cache,
-        explorer.budget,
-        limit,
-    )
-
-    def payload(candidate: int, retired: set) -> dict:
-        return {
-            "points": [
-                {
-                    "enabled": list(enabled),
-                    "backtrack": [candidate],
-                    "done": sorted(retired),
-                    "sleep": sorted(retired),
-                    "chosen": candidate,
-                    "increments": dict(increments),
-                    "cost_before": 0,
-                    "frozen": True,
-                }
-            ]
-        }
-
-    backtrack = {first}
-    done: set = set()
-    pending: dict = {}
-    pool = (
-        shard_pool(explorer.shards)
-        if explorer.program_source is not None
-        else None
-    )
-    try:
-        head = first
-        while True:
-            # Dispatch the head plus predicted successors (min-order over
-            # currently-known candidates), each under its predicted sleep
-            # context.  Inline (no picklable source): same code path, no
-            # speculation — a mispredicted inline branch is pure waste.
-            rest = backtrack - done - {head}
-            if bound is not None:
-                rest = {t for t in rest if increments[t] <= bound}
-            predicted = [head] + sorted(rest)
-            width = explorer.shards if pool is not None else 1
-            ctx = set(done)
-            for cand in predicted[:width]:
-                key = (cand, frozenset(ctx))
-                if key not in pending:
-                    if pool is not None:
-                        pending[key] = pool.submit(
-                            _dpor_branch_worker, spec, payload(cand, ctx)
-                        )
-                    else:
-                        pending[key] = _inline_future(
-                            _dpor_branch_worker, spec, payload(cand, ctx), program
-                        )
-                ctx = ctx | {cand}
-            summaries, root_bt, w_pruned = pending.pop(
-                (head, frozenset(done))
-            ).result()
-            if w_pruned:
-                explorer.bound_pruned = True
-            for item in summaries:
-                if explorer._absorb(stats, item, limit):
-                    return stats
-            backtrack.update(root_bt)
-            done.add(head)
-            base = backtrack - done
-            if bound is not None:
-                affordable = {t for t in base if increments[t] <= bound}
-                if affordable != base:
-                    explorer.bound_pruned = True
-                base = affordable
-            if not base:
-                stats.completed = True
-                return stats
-            head = min(base)
-    finally:
-        for fut in pending.values():
-            fut.cancel()
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
-def explore_sharded_ibpor(explorer, program: Program, limit: int):
-    """Sharded frontier-resuming IBPOR: bound 0 runs in-process (the
-    non-preemptive space is tiny); every later bound farms its frontier
-    entries to workers, at most ``2 × shards`` in flight, and absorbs
-    their run streams in entry order with the exact per-entry limits the
-    serial loop would use."""
-    from .explorer import ExplorationStats
-
-    stats = ExplorationStats(explorer.technique, program.name, limit)
-    frontier: List[dict] = []
-    pool: Optional[ProcessPoolExecutor] = None
-    try:
-        for bound in range(explorer.max_bound + 1):
-            stats.bound = bound
-            stats.new_schedules_at_bound = 0
-            sink: List[dict] = []
-            if bound == 0:
-                inner = explorer._inner(0, frontier_sink=sink)
-                sub = inner.explore(program, max(1, limit - stats.schedules))
-                if explorer._fold(stats, sub, 0):
-                    return stats
-            else:
-                if explorer.program_source is not None and pool is None:
-                    pool = shard_pool(explorer.shards)
-                spec = DporShardSpec(
-                    explorer.program_source,
-                    explorer.visible_filter,
-                    explorer.max_steps,
-                    True,
-                    bound,
-                    False,
-                    explorer.budget,
-                    limit,
-                )
-                # Inline (no pool), one entry runs at a time, so an early
-                # stop skips the remaining entries exactly like the serial
-                # loop.
-                results = _in_turn(
-                    pool, 2 * explorer.shards, _ibpor_entry_worker,
-                    [(spec, entry) for entry in frontier], program,
-                )
-                try:
-                    for summaries, entry_sink in results:
-                        inner_limit = max(1, limit - stats.schedules)
-                        shadow = explorer._inner(bound)
-                        sub = ExplorationStats(
-                            shadow.technique, program.name, inner_limit
-                        )
-                        for item in summaries:
-                            if shadow._absorb(sub, item, inner_limit):
-                                break
-                        if explorer._fold(stats, sub, bound):
-                            return stats
-                        sink.extend(entry_sink)
-                finally:
-                    results.close()
-            frontier = sink
-            if not frontier:
-                stats.completed = True
-                return stats
-        return stats
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)

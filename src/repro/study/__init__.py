@@ -31,7 +31,7 @@ from .supervisor import (
 from .compare import RunDiff, diff_runs
 from .config import derive_seed
 from .faults import FaultPlan, FaultSpec
-from .parallel import ParallelStudyRunner, StudyInterrupted, run_study_parallel
+from .parallel import ParallelStudyRunner, StudyInterrupted, run_study
 from .store import (
     StoreBackend,
     StoreLockedError,
@@ -46,9 +46,7 @@ from .runner import (
     BenchmarkResult,
     StudyResult,
     assemble_study,
-    run_benchmark,
     run_cell,
-    run_study,
 )
 from .tables import table1, table2, table2_rows, table3
 
@@ -59,9 +57,7 @@ __all__ = [
     "PAPER_SCHEDULE_LIMIT",
     "TECHNIQUES",
     "run_study",
-    "run_benchmark",
     "run_cell",
-    "run_study_parallel",
     "ParallelStudyRunner",
     "StudyInterrupted",
     "StudyStore",

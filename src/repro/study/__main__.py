@@ -13,6 +13,10 @@ processes; ``--run-id`` names a run in the checkpoint store so an
 interrupted run resumes where it stopped::
 
     python -m repro.study --jobs 8 --run-id full-study --out results/
+
+Every run goes through :class:`~repro.study.parallel.ParallelStudyRunner`
+(retries, resource ceilings, fault injection); only ``--jobs N > 1``,
+``--run-id`` or ``--retry-errors`` checkpoint it in the store.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .figures import (
 )
 from .parallel import DEFAULT_CHECKPOINT_DIR, ParallelStudyRunner, StudyInterrupted
 from .report import bound_comparison, found_pattern_comparison, full_report, headline_findings
-from .runner import run_study
 from .tables import table1, table2, table3
 
 
@@ -90,11 +93,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="worker processes *inside* each cell: systematic techniques "
-             "shard the DFS/frontier subtrees, Rand/PCT shard the "
-             "execution-index range (switching them to the index-seeded "
-             "random stream — part of the fingerprint); 1 = classic "
-             "serial exploration",
+        help="worker processes *inside* each cell: IPB/IDB/DFS shard the "
+             "DFS/frontier subtrees, Rand/PCT shard the execution-index "
+             "range (switching them to the index-seeded random stream — "
+             "part of the fingerprint); DPOR, BPOR and MapleAlg run "
+             "serially; 1 = classic serial exploration",
     )
     parser.add_argument(
         "--snapshots", action="store_true",
@@ -218,25 +221,22 @@ def main(argv=None) -> int:
 
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr, flush=True)
     t0 = time.time()
-    if config.jobs > 1 or args.run_id or args.retry_errors:
-        runner = ParallelStudyRunner(
-            config,
-            jobs=config.jobs,
-            run_id=args.run_id,
-            checkpoint_dir=args.checkpoint_dir,
-            progress=progress,
-            retry_errors=args.retry_errors,
-        )
-        try:
-            study = runner.run()
-        except ValueError as exc:  # fingerprint mismatch, unopenable store
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except StudyInterrupted as exc:
-            print(f"\n{exc}", file=sys.stderr)
-            return 0
-    else:
-        study = run_study(config, progress)
+    checkpointed = config.jobs > 1 or args.run_id or args.retry_errors
+    runner = ParallelStudyRunner(
+        config,
+        run_id=args.run_id,
+        checkpoint_dir=args.checkpoint_dir if checkpointed else None,
+        progress=progress,
+        retry_errors=args.retry_errors,
+    )
+    try:
+        study = runner.run()
+    except ValueError as exc:  # fingerprint mismatch, unopenable store
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except StudyInterrupted as exc:
+        print(f"\n{exc}", file=sys.stderr)
+        return 0
     elapsed = time.time() - t0
 
     report = full_report(study)

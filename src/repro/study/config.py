@@ -74,9 +74,10 @@ class StudyConfig:
     #: Worker processes for the parallel study runner (``--jobs``).
     #: ``1`` = run cells serially in-process (identical results, no pool).
     jobs: int = 1
-    #: Worker processes *inside* one cell (``--shards``): systematic
-    #: techniques shard the DFS/frontier subtrees, randomised techniques
-    #: shard the execution-index range (see :mod:`repro.core.sharding`).
+    #: Worker processes *inside* one cell (``--shards``): IPB/IDB/DFS
+    #: shard the DFS/frontier subtrees, Rand/PCT shard the
+    #: execution-index range (see :mod:`repro.core.sharding`); DPOR, BPOR
+    #: and MapleAlg always explore serially.
     #: ``1`` = classic serial exploration.  Unlike ``jobs`` this *is*
     #: result-affecting for Rand/PCT (``shards >= 2`` switches them to the
     #: index-seeded random stream), so it joins the fingerprint whenever

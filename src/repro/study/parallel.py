@@ -36,8 +36,9 @@ exact (cell, attempt) — the tests use it to prove every degradation path
 above end to end.
 
 With ``jobs=1`` the cells run serially in-process — same code path, no
-pool — and produce results identical to :func:`repro.study.run_study`
-(cell order cannot matter: every cell is seeded independently).
+pool — and produce results identical to a pool run (cell order cannot
+matter: every cell is seeded independently).  :func:`run_study` runs a
+study without a store.
 """
 
 from __future__ import annotations
@@ -793,8 +794,8 @@ class ParallelStudyRunner:
 
         Workers live in their own process groups (``_worker_init``), so
         the kill reaches shard workers and parked snapshot holders too —
-        a watchdog firing on a cell stuck inside ``fork_map`` must not
-        leave the shard pool running headless.
+        a watchdog firing on a cell stuck inside a shard pool must not
+        leave that pool running headless.
         """
         procs = list(getattr(self._pool, "_processes", {}).values())
         for proc in procs:
@@ -841,17 +842,12 @@ class ParallelStudyRunner:
         self._supervisor.sweep()
 
 
-def run_study_parallel(
+def run_study(
     config: Optional[StudyConfig] = None,
-    jobs: Optional[int] = None,
-    run_id: Optional[str] = None,
-    checkpoint_dir: Optional[str] = DEFAULT_CHECKPOINT_DIR,
     progress: Optional[ProgressFn] = None,
-    retry_errors: bool = False,
 ) -> StudyResult:
-    """Convenience wrapper: build a :class:`ParallelStudyRunner` and run it."""
+    """Run the full study (all benchmarks × all techniques) on
+    ``config.jobs`` workers, without checkpointing."""
     return ParallelStudyRunner(
-        config, jobs=jobs, run_id=run_id,
-        checkpoint_dir=checkpoint_dir, progress=progress,
-        retry_errors=retry_errors,
+        config, checkpoint_dir=None, progress=progress
     ).run()

@@ -7,9 +7,9 @@ the real Maple does).
 
 The unit of work is a *cell* — one (benchmark, technique) pair.  Cells are
 independent and picklable, which is what lets
-:class:`repro.study.parallel.ParallelStudyRunner` fan them out over a
-process pool; :func:`run_benchmark` and :func:`run_study` remain the serial
-reference implementation and produce identical per-technique statistics.
+:class:`repro.study.parallel.ParallelStudyRunner` run them, serially
+in-process or over a process pool, with identical per-technique
+statistics.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ class BenchmarkResult:
         self.racy_sites = len(race_report.racy_sites) if race_report else 0
         self.stats = stats
         self.seconds = seconds
-        #: technique -> error message, for cells that crashed (parallel
-        #: runner only; the serial runner propagates exceptions).
+        #: technique -> error message, for cells that crashed.
         self.errors: Dict[str, str] = dict(errors) if errors else {}
         #: technique -> non-success cell status (see
         #: :mod:`repro.study.taxonomy`); empty when every cell succeeded,
@@ -218,10 +217,11 @@ def make_technique_explorers(
 
     ``config.cell_shards > 1`` turns on intra-cell sharding
     (:mod:`repro.core.sharding`) for the techniques that support it
-    (IPB/IDB/DFS/DPOR/BPOR/Rand/PCT); the benchmark name doubles as the
-    picklable program source for pool workers.  MapleAlg is inherently
-    sequential (each run's schedule depends on every previous run) and
-    always executes serially.
+    (IPB/IDB/DFS/Rand/PCT); the benchmark name doubles as the picklable
+    program source for pool workers.  MapleAlg is inherently sequential
+    (each run's schedule depends on every previous run), and DPOR/BPOR
+    explore serially (their branch and entry farms measured slower than
+    the serial search), so those three always execute serially.
 
     ``config.snapshots`` additionally turns on fork-based COW prefix
     snapshots (:mod:`repro.engine.snapshot`) for the stateless bounded
@@ -257,18 +257,14 @@ def make_technique_explorers(
         from ..core.dpor import DPORExplorer
 
         return DPORExplorer(
-            visible_filter=visible_filter,
-            max_steps=config.max_steps,
-            **shard_kwargs,
+            visible_filter=visible_filter, max_steps=config.max_steps
         )
 
     def _bpor():
         from ..core.dpor import IterativeBPORExplorer
 
         explorer = IterativeBPORExplorer(
-            visible_filter=visible_filter,
-            max_steps=config.max_steps,
-            **shard_kwargs,
+            visible_filter=visible_filter, max_steps=config.max_steps
         )
         # Study cells report under the paper-style name "BPOR" rather
         # than the engine's internal "IBPOR" label.
@@ -349,8 +345,7 @@ def _run_technique(
     visible_filter,
     budget: Optional[Budget] = None,
 ) -> ExplorationStats:
-    """Run one technique on one benchmark — the shared core of the serial
-    runner and the parallel work cell."""
+    """Run one technique on one benchmark — the core of a work cell."""
     if config.cell_shards > 1 and technique not in SHARDABLE_TECHNIQUES:
         warnings.warn(
             f"{info.name}: technique {technique} does not support "
@@ -411,9 +406,7 @@ def _cell_budget(config: StudyConfig) -> Optional[Budget]:
 
 #: Techniques whose cells honour ``config.cell_shards`` (see
 #: :func:`make_technique_explorers`).
-SHARDABLE_TECHNIQUES = frozenset(
-    {"IPB", "IDB", "DFS", "DPOR", "BPOR", "Rand", "PCT"}
-)
+SHARDABLE_TECHNIQUES = frozenset({"IPB", "IDB", "DFS", "Rand", "PCT"})
 
 #: Techniques whose random stream is derived from a per-cell seed —
 #: recorded per cell so ``--resume``/``--retry-errors`` replays the exact
@@ -580,68 +573,8 @@ def assemble_study(
     return study
 
 
-def run_benchmark(
-    info: BenchmarkInfo,
-    config: StudyConfig,
-    progress: Optional[ProgressFn] = None,
-) -> BenchmarkResult:
-    """Run the full per-benchmark pipeline: race phase, then each technique."""
-    t0 = time.monotonic()
-    program = info.make()
-
-    # Phase 1: data race detection (shared by IPB/IDB/DFS/Rand).
-    report = detect_races(
-        program,
-        runs=config.detection_runs,
-        seed=config.detection_seed,
-        max_steps=config.max_steps,
-    )
-    visible_filter = _filter_for(report)
-    stats: Dict[str, ExplorationStats] = {}
-    statuses: Dict[str, str] = {}
-    for name in config.techniques:
-        st = _profiled(
-            config,
-            info.name,
-            name,
-            lambda name=name: _run_technique(
-                program, info, name, config, visible_filter,
-                _cell_budget(config),
-            ),
-        )
-        stats[name] = st
-        if st.deadline_hit:
-            statuses[name] = taxonomy.TIMEOUT
-        elif not st.found_bug and _abort_flagged(st):
-            statuses[name] = taxonomy.ABORTED
-        if progress:
-            found = f"bug@{st.schedules_to_first_bug}" if st.found_bug else "no bug"
-            note = " [deadline]" if st.deadline_hit else ""
-            progress(
-                f"  {info.name}: {name}: {found} "
-                f"({st.schedules} schedules){note}"
-            )
-    return BenchmarkResult(
-        info, report, stats, time.monotonic() - t0, statuses=statuses
-    )
-
-
 def study_benchmarks(config: StudyConfig) -> List[BenchmarkInfo]:
     """The benchmarks one study run covers, in Table 3 order."""
     if config.benchmarks is None:
         return list(BENCHMARKS)
     return [get_benchmark(name) for name in config.benchmarks]
-
-
-def run_study(
-    config: Optional[StudyConfig] = None,
-    progress: Optional[ProgressFn] = None,
-) -> StudyResult:
-    """Run the full study (all benchmarks × all techniques)."""
-    config = config or StudyConfig()
-    results = []
-    for info in study_benchmarks(config):
-        if progress:
-            progress(f"[{info.bench_id:2d}] {info.name}")
-        results.append(run_benchmark(info, config, progress))
-    return StudyResult(config, results)

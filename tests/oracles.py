@@ -21,11 +21,15 @@ only as equivalence oracles for the tests and as the baseline side of
 - :func:`state_fingerprint` with :func:`_stable_value`,
   :func:`_stable_seq` and :func:`_frame_digest` — the ``isinstance``-chain
   state digest, the behavioural model of the type-dispatched one in
-  :mod:`repro.engine.hardening`.
+  :mod:`repro.engine.hardening`;
+- :func:`serial_study` — the study as a plain per-benchmark loop (one
+  race-detection phase, then every technique in turn), the reference
+  for :class:`~repro.study.parallel.ParallelStudyRunner`'s results.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.bounds import DELAY, PREEMPTION, BoundCost
@@ -38,10 +42,22 @@ from repro.engine.executor import DEFAULT_MAX_STEPS, execute
 from repro.engine.hardening import _STABLE_SCALARS, _UNSTABLE, _object_state
 from repro.engine.state import VisibleFilter
 from repro.engine.strategies import SchedulerStrategy, round_robin_choice
+from repro.racedetect import detect_races
 from repro.racedetect.vectorclock import Epoch
 from repro.runtime.context import ThreadContext, ThreadHandle
 from repro.runtime.objects import SharedObject
 from repro.runtime.program import Program
+from repro.study import taxonomy
+from repro.study.config import StudyConfig
+from repro.study.runner import (
+    BenchmarkResult,
+    StudyResult,
+    _abort_flagged,
+    _cell_budget,
+    _filter_for,
+    _run_technique,
+    study_benchmarks,
+)
 
 
 class RestartSearch:
@@ -386,3 +402,38 @@ def state_fingerprint(kernel, enabled: Tuple[int, ...]) -> Optional[Any]:
             return None
         parts.append((ts.tid, int(ts.status), op_key, digest))
     return tuple(parts)
+
+
+def serial_study(config: StudyConfig) -> StudyResult:
+    """Run the study as a plain loop: per benchmark, race detection on one
+    program object, then each technique on it in turn.  Exceptions
+    propagate; nothing is retried, supervised or stored."""
+    results = []
+    for info in study_benchmarks(config):
+        t0 = time.monotonic()
+        program = info.make()
+        report = detect_races(
+            program,
+            runs=config.detection_runs,
+            seed=config.detection_seed,
+            max_steps=config.max_steps,
+        )
+        visible_filter = _filter_for(report)
+        stats: Dict[str, ExplorationStats] = {}
+        statuses: Dict[str, str] = {}
+        for name in config.techniques:
+            st = _run_technique(
+                program, info, name, config, visible_filter,
+                _cell_budget(config),
+            )
+            stats[name] = st
+            if st.deadline_hit:
+                statuses[name] = taxonomy.TIMEOUT
+            elif not st.found_bug and _abort_flagged(st):
+                statuses[name] = taxonomy.ABORTED
+        results.append(
+            BenchmarkResult(
+                info, report, stats, time.monotonic() - t0, statuses=statuses
+            )
+        )
+    return StudyResult(config, results)

@@ -15,9 +15,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PREEMPTION, BoundedDFS
-from repro.core.dpor import DPORExplorer
+from repro.core.dpor import DPORExplorer, IterativeBPORExplorer
 
-from .programs import figure1, lock_order_deadlock, unsafe_counter
+from .oracles import RestartIBPOR
+from .programs import (
+    barrier_rendezvous,
+    figure1,
+    lock_order_deadlock,
+    lost_signal,
+    producer_consumer_sem,
+    unsafe_counter,
+)
+from .test_dpor import build_rich_program, rich_program_st
 from .test_properties import build_program, program_st
 
 
@@ -131,3 +140,51 @@ class TestBPORSoundnessProperty:
             f"bounded DFS {'found' if dfs_found else 'missed'}"
         )
         assert bpor.schedules <= dfs_total
+
+
+# ---------------------------------------------------------------------------
+# Frontier resumption vs restart-per-bound
+# ---------------------------------------------------------------------------
+
+GRID = [
+    figure1,
+    lambda: figure1(clone_count=2),
+    lambda: unsafe_counter(workers=2, increments=2),
+    lambda: unsafe_counter(workers=3, increments=1),
+    lock_order_deadlock,
+    lost_signal,
+    lambda: barrier_rendezvous(parties=2),
+    lambda: producer_consumer_sem(items=2),
+]
+
+
+class TestResumeVsRestart:
+    @pytest.mark.parametrize("factory", GRID)
+    def test_verdict_and_bound_agree_on_known_programs(self, factory):
+        resume = IterativeBPORExplorer().explore(factory(), 10_000)
+        restart = RestartIBPOR().explore(
+            factory(), 10_000
+        )
+        assert resume.found_bug == restart.found_bug
+        assert resume.completed == restart.completed
+        if resume.found_bug:
+            assert resume.bound == restart.bound
+
+    @given(threads=rich_program_st)
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_verdict_and_bound_agree_on_random_programs(self, threads):
+        """Resuming beneath bound-pruned edges explores fewer schedules
+        than restarting each bound from scratch but must agree on whether
+        a bug exists and on the smallest exposing preemption bound."""
+        program = build_rich_program(threads)
+        resume = IterativeBPORExplorer().explore(program, 50_000)
+        restart = RestartIBPOR().explore(
+            program, 50_000
+        )
+        assert resume.found_bug == restart.found_bug
+        if resume.found_bug:
+            assert resume.bound == restart.bound

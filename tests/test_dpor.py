@@ -604,8 +604,8 @@ def oracle_program(subject):
 
 def exploration_record(dpor_cls, search, program, limit, **kw):
     """What one search decided.  Every DPORExplorer it creates — IBPOR's
-    per-bound searches and sharded branch and entry workers included — is
-    built from ``dpor_cls`` and logs its runs, in creation order."""
+    per-bound and per-entry searches included — is built from
+    ``dpor_cls`` and logs its runs, in creation order."""
     explorers = []
 
     class Recording(dpor_cls):

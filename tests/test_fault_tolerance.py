@@ -28,6 +28,7 @@ from repro.study.store import (
     store_path_for,
 )
 
+from .oracles import serial_study
 from .test_store import corrupt_line, stored
 
 SMALL_SET = ["CS.lazy01_bad", "CS.din_phil2_sat", "splash2.lu"]
@@ -294,7 +295,7 @@ class TestSerialFaults:
 class TestPoolFaults:
     @pytest.fixture(scope="class")
     def det_serial(self):
-        return run_study(det_config())
+        return serial_study(det_config())
 
     def test_worker_crash_recovers_and_matches_serial(self, det_serial):
         # The satellite BrokenProcessPool test: one injected hard crash —

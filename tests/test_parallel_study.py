@@ -13,9 +13,10 @@ from repro.study import (
     derive_seed,
     quick_config,
     run_cell,
-    run_study,
 )
 from repro.study.store import read_journal, store_path_for
+
+from .oracles import serial_study as reference_study
 
 SMALL_SET = ["CS.lazy01_bad", "CS.din_phil2_sat", "splash2.lu"]
 
@@ -37,7 +38,7 @@ def normalized_json(study):
 
 @pytest.fixture(scope="module")
 def serial_study():
-    return run_study(small_config())
+    return reference_study(small_config())
 
 
 class TestDeterminism:

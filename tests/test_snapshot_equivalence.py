@@ -34,7 +34,6 @@ from repro.core import (
     DELAY,
     PREEMPTION,
     DFSExplorer,
-    IterativeBPORExplorer,
     make_idb,
     make_ipb,
 )
@@ -195,17 +194,6 @@ def test_iterative_matrix_serial_vs_snapshots_vs_shards(factory, name, shards):
     serial = _explore(make, factory)
     snapped = _explore(make, factory, snapshots=True, shards=shards)
     assert serial.as_dict() == snapped.as_dict()
-
-
-@needs_fork
-@pytest.mark.parametrize("shards", [1, 3])
-@pytest.mark.parametrize("factory", SMALL_GRID)
-def test_ibpor_matrix_serial_vs_snapshots_vs_shards(factory, shards):
-    # IBPOR takes no snapshots (its entries replay incrementally); what
-    # is left of the matrix is its shards leg.
-    serial = IterativeBPORExplorer().explore(factory(), 10_000)
-    sharded = IterativeBPORExplorer(shards=shards).explore(factory(), 10_000)
-    assert serial.as_dict() == sharded.as_dict()
 
 
 # -- cross-bound holders: resume, eviction, fallback -------------------------

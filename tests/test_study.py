@@ -1,10 +1,12 @@
 """Tests for the study harness: runner, tables, figures, report, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.sctbench import get
 from repro.study import (
     StudyConfig,
     figure3_series,
@@ -14,7 +16,6 @@ from repro.study import (
     quick_config,
     render_scatter,
     render_venn,
-    run_benchmark,
     run_study,
     scatter_csv,
     table1,
@@ -69,7 +70,8 @@ class TestRunner:
 
     def test_single_benchmark_runner(self):
         config = quick_config(limit=100)
-        result = run_benchmark(get("CS.lazy01_bad"), config)
+        config.benchmarks = ["CS.lazy01_bad"]
+        result = run_study(config).by_name("CS.lazy01_bad")
         assert result.found_by("IDB")
         assert result.seconds >= 0
 
@@ -82,7 +84,8 @@ class TestRunner:
     def test_extension_techniques_selectable(self):
         config = quick_config(limit=100)
         config.techniques = ["IDB", "PCT", "DPOR"]
-        result = run_benchmark(get("CS.lazy01_bad"), config)
+        config.benchmarks = ["CS.lazy01_bad"]
+        result = run_study(config).by_name("CS.lazy01_bad")
         assert set(result.stats) == {"IDB", "PCT", "DPOR"}
         assert result.stats["DPOR"].found_bug
         assert result.stats["PCT"].technique == "PCT"
@@ -90,17 +93,19 @@ class TestRunner:
     def test_bpor_cell_reports_study_label(self):
         config = quick_config(limit=100)
         config.techniques = ["BPOR"]
-        result = run_benchmark(get("CS.lazy01_bad"), config)
+        config.benchmarks = ["CS.lazy01_bad"]
+        result = run_study(config).by_name("CS.lazy01_bad")
         assert result.stats["BPOR"].technique == "BPOR"
         assert result.stats["BPOR"].found_bug
 
-    def test_non_shardable_technique_warns_per_cell(self):
+    @pytest.mark.parametrize("technique", ["MapleAlg", "DPOR", "BPOR"])
+    def test_non_shardable_technique_warns_per_cell(self, technique):
         from repro.study.runner import run_cell
 
         config = quick_config(limit=20)
         config.cell_shards = 2
-        with pytest.warns(RuntimeWarning, match="MapleAlg"):
-            run_cell("CS.lazy01_bad", "MapleAlg", config)
+        with pytest.warns(RuntimeWarning, match=technique):
+            run_cell("CS.lazy01_bad", technique, config)
 
     def test_shardable_technique_does_not_warn(self):
         import warnings
@@ -111,7 +116,7 @@ class TestRunner:
         config.cell_shards = 2
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            record = run_cell("CS.lazy01_bad", "DPOR", config)
+            record = run_cell("CS.lazy01_bad", "IPB", config)
         assert record["status"] == "bug"
 
 
@@ -225,3 +230,31 @@ class TestCLI:
         assert "Study report" in out
         produced = {p.name for p in (tmp_path / "results").iterdir()}
         assert {"table3.txt", "figure2a.txt", "figure3.csv", "raw.json"} <= produced
+
+    def test_default_run_honours_resource_ceilings(self, tmp_path):
+        # In a subprocess: an in-process cell supervisor would sample and
+        # reap pytest's own children.
+        src = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.study", "--quick", "--quiet",
+                "--benchmarks", "CS.lazy01_bad", "--max-rss", "1M",
+                "--out", "out",
+            ],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        raw = json.loads((tmp_path / "out" / "raw.json").read_text())
+        (bench,) = raw["benchmarks"]
+        assert bench["statuses"] == {
+            tech: "oom" for tech in quick_config().techniques
+        }
+        assert not list(tmp_path.rglob("study.sqlite*"))
